@@ -22,13 +22,11 @@
 // change, instead of the periodic HTTP POST loop. A dead stream falls
 // back to HTTP mid-run and re-dials on the next run. When a run
 // request carries a progress feed (the coordinator's -speculate mode),
-// the worker also reports per-shard iteration counts on the requested
-// cadence — over the stream when one is up, HTTP otherwise — so the
-// coordinator's straggler detector can see how far behind this shard
-// is. With -telemetry
-// FILE, per-walker iteration/cost samples are appended to FILE in the
-// FTDC-style schema-delta encoding (decode with `experiments
-// -ftdc-decode FILE`).
+// the worker POSTs per-shard iteration counts on the requested cadence
+// so the coordinator's straggler detector can see how far behind this
+// shard is. With -telemetry FILE, per-walker iteration/cost samples
+// are appended to FILE in the FTDC-style schema-delta encoding (decode
+// with `experiments -ftdc-decode FILE`).
 //
 // Endpoints:
 //
@@ -114,7 +112,6 @@ func run() error {
 			Advertise:   adv,
 			Worker:      wk,
 			Interval:    *heartbeat,
-			Wire:        true,
 			Logf:        log.Printf,
 		})
 		if err != nil {

@@ -252,7 +252,10 @@ func (s *Store) Resolve(key Key) (*Resolved, error) {
 	s.mu.Lock()
 	e := s.entries[key]
 	var seq []float64
-	var rateSum, rateWeight float64
+	// The pooled rate is a running weighted mean rather than
+	// sum(r·w)/sum(w): the first batch sets it exactly, so a lone
+	// batch's rate (or several equal ones) round-trips bit for bit.
+	var rate, rateWeight float64
 	if e != nil {
 		for _, b := range e.Batches {
 			if b.Sequential {
@@ -260,8 +263,8 @@ func (s *Store) Resolve(key Key) (*Resolved, error) {
 			}
 			if b.ItersPerSec > 0 {
 				w := float64(len(b.Iters))
-				rateSum += b.ItersPerSec * w
 				rateWeight += w
+				rate += w / rateWeight * (b.ItersPerSec - rate)
 			}
 		}
 	}
@@ -274,11 +277,7 @@ func (s *Store) Resolve(key Key) (*Resolved, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrInsufficient, key, err)
 	}
-	r := &Resolved{Key: key, Sample: sample, Samples: len(seq), Fit: stats.FitBest(sample)}
-	if rateWeight > 0 {
-		r.ItersPerSec = rateSum / rateWeight
-	}
-	return r, nil
+	return &Resolved{Key: key, Sample: sample, Samples: len(seq), Fit: stats.FitBest(sample), ItersPerSec: rate}, nil
 }
 
 // SpeedupObs is one measured multi-walk speedup observation: mean

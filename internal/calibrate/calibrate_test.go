@@ -61,6 +61,25 @@ func TestRecordResolveFit(t *testing.T) {
 	}
 }
 
+// TestResolveLoneBatchRateExact pins that a key with one rate-carrying
+// batch resolves to exactly that batch's rate: the pooled mean must not
+// round a lone rate off by an ulp (r·w/w does for this value).
+func TestResolveLoneBatchRateExact(t *testing.T) {
+	st := NewStore()
+	key := Key{Problem: "costas", Size: 12, Strategy: "adaptive"}
+	const rate = 740536.6923409903
+	if err := st.Record(key, seqBatch(t, drawShiftedExp(rng.New(3), 50, 500, 12), rate, time.Now())); err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.Resolve(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ItersPerSec != rate {
+		t.Fatalf("ItersPerSec = %v, want exactly %v", res.ItersPerSec, rate)
+	}
+}
+
 func TestResolveInsufficient(t *testing.T) {
 	st := NewStore()
 	key := Key{Problem: "queens", Size: 64}

@@ -61,8 +61,7 @@ type boardHub struct {
 	mTxBytes   atomic.Int64
 
 	// onShardProgress, when set, receives every shard progress report
-	// the hub hears — over HTTP (POST /v1/runs/{id}/progress) or as
-	// TypeShardProgress stream frames. Set once by the owning
+	// the hub hears (POST /v1/runs/{id}/progress). Set once by the owning
 	// Coordinator before any server starts; the callback must be
 	// cheap and concurrency-safe.
 	onShardProgress func(runID string, iters, walkers, best int64)
@@ -236,8 +235,8 @@ func (h *boardHub) ensureServerLocked() error {
 
 // ensureServer starts the hub's HTTP server if needed and returns its
 // base URL — the straggler detector reuses the board listener for the
-// progress fallback route, so speculation-enabled fleets pay for one
-// listener, not two.
+// progress route, so speculation-enabled fleets pay for one listener,
+// not two.
 func (h *boardHub) ensureServer() (string, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -250,10 +249,9 @@ func (h *boardHub) ensureServer() (string, error) {
 // maxProgressBodyLen caps one progress report body: three integers.
 const maxProgressBodyLen = 4096
 
-// handleProgress records one shard progress report (the HTTP fallback
-// for stream-less workers). Reports are advisory — unknown run ids are
-// acknowledged and dropped, since a straggling report racing the
-// shard's own completion is benign.
+// handleProgress records one shard progress report. Reports are
+// advisory — unknown run ids are acknowledged and dropped, since a
+// straggling report racing the shard's own completion is benign.
 func (h *boardHub) handleProgress(w http.ResponseWriter, r *http.Request) {
 	var rep ShardProgressReport
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxProgressBodyLen)).Decode(&rep); err != nil {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/multiwalk"
 	"repro/internal/problems"
-	"repro/internal/wire"
 )
 
 // CoordinatorConfig configures a coordinator over a worker fleet.
@@ -67,12 +66,12 @@ type CoordinatorConfig struct {
 	// reconcile with the global board. 0 lets each worker apply its
 	// default (50ms).
 	BoardSync time.Duration
-	// Stream enables the streaming control plane: shard dispatch as
-	// binary RunSpec frames and, for exchange jobs, a persistent
-	// multiplexed board stream in place of the periodic POST loop.
-	// Both are negotiated per worker — a worker that does not
-	// advertise wire support keeps the HTTP/JSON paths — so mixed
-	// fleets work with no flag coordination.
+	// Stream enables the board stream: exchange jobs sync through a
+	// persistent multiplexed binary connection to the hub in place of
+	// the periodic POST loop; a worker without stream support keeps
+	// the HTTP board path. cmd/serve's -stream sets it together with
+	// the service's client progress stream. Shard dispatch, fleet
+	// membership and shard progress are HTTP/JSON either way.
 	Stream bool
 	// StreamAddr is the listen address of the board stream hub. Empty
 	// selects 127.0.0.1:0; set it (with a routable host) when workers
@@ -172,9 +171,8 @@ type Coordinator struct {
 	progInterval  time.Duration
 
 	// prog is the straggler detector's input: one entry per tracked
-	// in-flight shard run, fed by worker progress reports (stream
-	// frames or HTTP fallback) and finalized from the shard's own
-	// outcome when it resolves.
+	// in-flight shard run, fed by worker progress reports (HTTP POST)
+	// and finalized from the shard's own outcome when it resolves.
 	progMu sync.Mutex
 	prog   map[string]*shardProg
 
@@ -277,11 +275,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.boards.onShardProgress = c.recordShardProgress
 	now := time.Now()
 	for _, base := range cfg.Workers {
-		slots, wireOK, err := c.probe(base, probeTimeout)
+		slots, err := c.probe(base, probeTimeout)
 		if err != nil {
 			return nil, fmt.Errorf("dist: enrolling worker %s: %w", base, err)
 		}
-		c.reg.upsert(base, slots, wireOK, now)
+		c.reg.upsert(base, slots, now)
 	}
 	if hbInterval > 0 {
 		go c.monitor()
@@ -291,38 +289,36 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// probe reads a worker's slot capacity and wire capability from its
-// health endpoint. Every probe runs on its own short timeout context,
-// independent of any job deadline — a hung worker costs one bounded
-// probe, never the job. Workers that predate the streaming control
-// plane simply omit the wire field and stay on HTTP/JSON.
-func (c *Coordinator) probe(base string, timeout time.Duration) (int, bool, error) {
+// probe reads a worker's slot capacity from its health endpoint.
+// Every probe runs on its own short timeout context, independent of
+// any job deadline — a hung worker costs one bounded probe, never the
+// job.
+func (c *Coordinator) probe(base string, timeout time.Duration) (int, error) {
 	c.mProbesDone.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	var health struct {
-		Slots int  `json:"slots"`
-		Wire  bool `json:"wire"`
+		Slots int `json:"slots"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		return 0, false, fmt.Errorf("decoding healthz: %w", err)
+		return 0, fmt.Errorf("decoding healthz: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return 0, false, fmt.Errorf("healthz status %d", resp.StatusCode)
+		return 0, fmt.Errorf("healthz status %d", resp.StatusCode)
 	}
 	if health.Slots < 1 {
-		return 0, false, fmt.Errorf("worker reports %d slots", health.Slots)
+		return 0, fmt.Errorf("worker reports %d slots", health.Slots)
 	}
-	return health.Slots, health.Wire, nil
+	return health.Slots, nil
 }
 
 // monitor is the fleet liveness loop: each tick it probes every worker
@@ -355,13 +351,13 @@ func (c *Coordinator) sweep() {
 		wg.Add(1)
 		go func(w *workerRef) {
 			defer wg.Done()
-			slots, wireOK, err := c.probe(w.base, c.probeTimeout)
+			slots, err := c.probe(w.base, c.probeTimeout)
 			if err != nil {
 				c.mProbeFails.Add(1)
 				c.reg.reportFailure(w)
 				return
 			}
-			c.reg.probeOK(w, slots, wireOK, time.Now())
+			c.reg.probeOK(w, slots, time.Now())
 		}(w)
 	}
 	wg.Wait()
@@ -589,7 +585,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		boardURL = url
 		if c.stream {
 			// Streaming fleets also get the hub's persistent-frame
-			// address; wire-capable workers replace their POST loops
+			// address; stream-capable workers replace their POST loops
 			// with it, others ignore the field. The HTTP URL stays in
 			// the request as the in-run fallback path.
 			boardStream, err = c.boards.ensureStream()
@@ -670,11 +666,6 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		}
 		params.progressBase = base
 		params.progressMS = c.progInterval.Milliseconds()
-		if c.stream {
-			if params.progressStream, err = c.boards.ensureStream(); err != nil {
-				return multiwalk.Result{}, err
-			}
-		}
 		defer c.clearJobProgress(fmt.Sprintf("job%06d-", jobID))
 	}
 
@@ -736,7 +727,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		// feed — and they see the deadline budget that remains now, not
 		// the one the job started with.
 		rparams := params
-		rparams.progressBase, rparams.progressStream, rparams.progressMS = "", "", 0
+		rparams.progressBase, rparams.progressMS = "", 0
 		rparams.deadline = deadlineMS(ctx)
 		routs := c.dispatch(reqCtx, mode, job, rplan, &solvedOnce, hardCancel, rparams)
 		lost = uncovered
@@ -795,12 +786,11 @@ type shardParams struct {
 	boardStream string
 	boardJob    string
 	deadline    int64
-	// Progress feed endpoints for straggler speculation; empty when the
+	// Progress feed endpoint for straggler speculation; empty when the
 	// job does not speculate. progressBase is the hub's HTTP base URL
 	// (each shard's report route is derived from its run id).
-	progressBase   string
-	progressStream string
-	progressMS     int64
+	progressBase string
+	progressMS   int64
 }
 
 // shardRequest builds one shard's run request from the job, the
@@ -828,7 +818,6 @@ func shardRequest(mode string, job *JobSpec, a *assignment, p *shardParams) RunR
 	}
 	if p.progressBase != "" {
 		req.ProgressURL = p.progressBase + "/v1/runs/" + a.runID + "/progress"
-		req.ProgressStream = p.progressStream
 		req.ProgressMS = p.progressMS
 	}
 	return req
@@ -1084,38 +1073,22 @@ func (c *Coordinator) releaseAll(plan []assignment) {
 // time — plan-time snapshots go stale in an elastic fleet — and a
 // worker that went dead or draining in the gap is failed over (the
 // shard reports lost, flowing into recovery) instead of erroring the
-// job. Dispatch is a binary RunSpec frame when streaming is on and the
-// worker currently advertises wire support, JSON otherwise; responses
-// are JSON either way (one response per shard — framing buys nothing
-// there).
+// job. Dispatch and response are both JSON: one request and one
+// response per shard, so a binary codec would buy nothing.
 func (c *Coordinator) runShard(ctx context.Context, a *assignment, reqBody RunRequest) shardOutcome {
-	wireOK, ok := c.reg.dispatchable(a.worker)
-	if !ok {
+	if !c.reg.dispatchable(a.worker) {
 		c.mFailovers.Add(1)
 		return shardOutcome{lost: true}
 	}
-	var payload []byte
-	contentType := "application/json"
-	if c.stream && wireOK {
-		var enc wire.Encoder
-		spec := wireRunSpec(&reqBody)
-		framed, err := enc.RunSpecFrame(nil, &spec)
-		if err != nil {
-			return shardOutcome{err: err}
-		}
-		payload, contentType = framed, ContentTypeWire
-	} else {
-		var err error
-		payload, err = json.Marshal(reqBody)
-		if err != nil {
-			return shardOutcome{err: err}
-		}
+	payload, err := json.Marshal(reqBody)
+	if err != nil {
+		return shardOutcome{err: err}
 	}
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, a.worker.base+"/v1/run", bytes.NewReader(payload))
 	if err != nil {
 		return shardOutcome{err: err}
 	}
-	httpReq.Header.Set("Content-Type", contentType)
+	httpReq.Header.Set("Content-Type", "application/json")
 	resp, err := c.client.Do(httpReq)
 	if err != nil {
 		// Transport loss: connection refused, reset mid-run, context

@@ -20,14 +20,14 @@ import (
 func TestRegistryStateMachine(t *testing.T) {
 	r := newRegistry()
 	now := time.Now()
-	if !r.upsert("http://a", 4, true, now) {
+	if !r.upsert("http://a", 4, now) {
 		t.Fatal("first upsert reported no change")
 	}
 	w := r.workers[0]
 	if r.capacity() != 4 {
 		t.Fatalf("capacity = %d, want 4", r.capacity())
 	}
-	if _, ok := r.dispatchable(w); !ok {
+	if !r.dispatchable(w) {
 		t.Fatal("healthy worker not dispatchable")
 	}
 
@@ -38,7 +38,7 @@ func TestRegistryStateMachine(t *testing.T) {
 	if r.capacity() != 4 {
 		t.Fatal("suspect worker must still count toward capacity")
 	}
-	if _, ok := r.dispatchable(w); !ok {
+	if !r.dispatchable(w) {
 		t.Fatal("suspect worker must stay dispatchable")
 	}
 
@@ -49,11 +49,11 @@ func TestRegistryStateMachine(t *testing.T) {
 	if r.capacity() != 0 {
 		t.Fatal("dead worker still counts toward capacity")
 	}
-	if _, ok := r.dispatchable(w); ok {
+	if r.dispatchable(w) {
 		t.Fatal("dead worker dispatchable")
 	}
 
-	r.probeOK(w, 4, true, now)
+	r.probeOK(w, 4, now)
 	if w.state != stateHealthy {
 		t.Fatalf("probe did not revive: %v", w.state)
 	}
@@ -78,7 +78,7 @@ func TestRegistryStateMachine(t *testing.T) {
 		t.Fatalf("draining worker probed by the monitor: %v", got)
 	}
 	// Rejoin under the same URL keeps the row (stable planning index).
-	r.upsert("http://a", 4, true, now)
+	r.upsert("http://a", 4, now)
 	if w.state != stateHealthy || r.size() != 1 {
 		t.Fatalf("rejoin: state %v, %d rows", w.state, r.size())
 	}

@@ -31,14 +31,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/multiwalk"
 	"repro/internal/problems"
-	"repro/internal/wire"
 )
-
-// ContentTypeWire marks an HTTP body carrying one internal/wire frame
-// instead of JSON. The worker's run endpoint dispatches on it, so a
-// stream-negotiated coordinator ships RunSpec frames while plain
-// HTTP/JSON peers keep working against the same route.
-const ContentTypeWire = "application/x-repro-wire"
 
 // Typed protocol errors. The worker HTTP layer maps ErrBadRequest to
 // 400 and ErrBusy to 429; the coordinator surfaces ErrNoCapacity when
@@ -148,22 +141,18 @@ type RunRequest struct {
 	BoardJob string `json:"board_job,omitempty"`
 	// ProgressURL, when set, asks the worker to report the shard's
 	// progress (iteration counts) periodically so the coordinator's
-	// straggler detector can compare shards. It is the HTTP fallback
-	// endpoint (POST ShardProgressReport); a stream-capable worker
-	// prefers ProgressStream, the coordinator's wire hub address, and
-	// sends TypeShardProgress frames instead. ProgressMS is the report
-	// period in milliseconds (0 selects the worker default, 250ms).
-	// Reports are advisory: losing them only blinds the detector.
-	ProgressURL    string `json:"progress_url,omitempty"`
-	ProgressStream string `json:"progress_stream,omitempty"`
-	ProgressMS     int64  `json:"progress_ms,omitempty"`
+	// straggler detector can compare shards: the worker POSTs a
+	// ShardProgressReport there every ProgressMS milliseconds (0
+	// selects the worker default, 250ms). Reports are advisory: losing
+	// them only blinds the detector.
+	ProgressURL string `json:"progress_url,omitempty"`
+	ProgressMS  int64  `json:"progress_ms,omitempty"`
 }
 
-// ShardProgressReport is the HTTP JSON fallback body for one shard
-// progress report (POST {ProgressURL}): the run's total iterations so
-// far, how many walkers have started, and the best cost seen (-1 when
-// no walker has completed an iteration yet). The wire-stream path
-// carries the same fields in a TypeShardProgress frame.
+// ShardProgressReport is the JSON body of one shard progress report
+// (POST {ProgressURL}): the run's total iterations so far, how many
+// walkers have started, and the best cost seen (-1 when no walker has
+// completed an iteration yet).
 type ShardProgressReport struct {
 	Iters   int64 `json:"iters"`
 	Walkers int64 `json:"walkers"`
@@ -299,153 +288,6 @@ type RunResponse struct {
 	ElapsedNS int64            `json:"elapsed_ns"`
 }
 
-// wireEngineSpec converts an engine spec to its binary form.
-func wireEngineSpec(s *EngineSpec) wire.EngineSpec {
-	return wire.EngineSpec{
-		MaxIterations:    s.MaxIterations,
-		MaxRuns:          int64(s.MaxRuns),
-		FreezeLocMin:     int64(s.FreezeLocMin),
-		FreezeSwap:       int64(s.FreezeSwap),
-		ResetLimit:       int64(s.ResetLimit),
-		ResetFraction:    s.ResetFraction,
-		ProbSelectLocMin: s.ProbSelectLocMin,
-		Strategy:         s.Strategy,
-		FirstBest:        s.FirstBest,
-		Exhaustive:       s.Exhaustive,
-		CheckEvery:       int64(s.CheckEvery),
-		InitialConfig:    s.InitialConfig,
-	}
-}
-
-// engineSpecFromWire converts a binary engine spec back.
-func engineSpecFromWire(s *wire.EngineSpec) EngineSpec {
-	return EngineSpec{
-		MaxIterations:    s.MaxIterations,
-		MaxRuns:          int(s.MaxRuns),
-		FreezeLocMin:     int(s.FreezeLocMin),
-		FreezeSwap:       int(s.FreezeSwap),
-		ResetLimit:       int(s.ResetLimit),
-		ResetFraction:    s.ResetFraction,
-		ProbSelectLocMin: s.ProbSelectLocMin,
-		Strategy:         s.Strategy,
-		FirstBest:        s.FirstBest,
-		Exhaustive:       s.Exhaustive,
-		CheckEvery:       int(s.CheckEvery),
-		InitialConfig:    s.InitialConfig,
-	}
-}
-
-// wireRunSpec converts a run request to its binary dispatch form.
-func wireRunSpec(req *RunRequest) wire.RunSpec {
-	spec := wire.RunSpec{
-		ID:           req.ID,
-		Mode:         req.Mode,
-		Problem:      req.Problem,
-		Size:         int64(req.Size),
-		Seed:         req.Seed,
-		TotalWalkers: int64(req.TotalWalkers),
-		Start:        int64(req.Start),
-		Count:        int64(req.Count),
-		Engine:       wireEngineSpec(&req.Engine),
-		DeadlineMS:   req.DeadlineMS,
-		Exchange: wire.ExchangeSpec{
-			Enabled:      req.Exchange.Enabled,
-			Period:       req.Exchange.Period,
-			AdoptFactor:  req.Exchange.AdoptFactor,
-			PerturbSwaps: int64(req.Exchange.PerturbSwaps),
-			SyncMS:       req.Exchange.SyncMS,
-		},
-		Board:          req.Board,
-		BoardStream:    req.BoardStream,
-		BoardJob:       req.BoardJob,
-		ProgressURL:    req.ProgressURL,
-		ProgressStream: req.ProgressStream,
-		ProgressMS:     req.ProgressMS,
-	}
-	if len(req.Params) > 0 {
-		spec.Params = make(map[string]int64, len(req.Params))
-		for k, v := range req.Params {
-			spec.Params[k] = int64(v)
-		}
-	}
-	for i := range req.Portfolio {
-		spec.Portfolio = append(spec.Portfolio, wire.PortfolioSpec{
-			Weight: int64(req.Portfolio[i].Weight),
-			Engine: wireEngineSpec(&req.Portfolio[i].Engine),
-		})
-	}
-	return spec
-}
-
-// runRequestFromWire converts a binary run spec back into the JSON
-// request struct, which carries all semantic validation.
-func runRequestFromWire(spec *wire.RunSpec) RunRequest {
-	req := RunRequest{
-		ID:           spec.ID,
-		Mode:         spec.Mode,
-		Problem:      spec.Problem,
-		Size:         int(spec.Size),
-		Seed:         spec.Seed,
-		TotalWalkers: int(spec.TotalWalkers),
-		Start:        int(spec.Start),
-		Count:        int(spec.Count),
-		Engine:       engineSpecFromWire(&spec.Engine),
-		DeadlineMS:   spec.DeadlineMS,
-		Exchange: ExchangeSpec{
-			Enabled:      spec.Exchange.Enabled,
-			Period:       spec.Exchange.Period,
-			AdoptFactor:  spec.Exchange.AdoptFactor,
-			PerturbSwaps: int(spec.Exchange.PerturbSwaps),
-			SyncMS:       spec.Exchange.SyncMS,
-		},
-		Board:          spec.Board,
-		BoardStream:    spec.BoardStream,
-		BoardJob:       spec.BoardJob,
-		ProgressURL:    spec.ProgressURL,
-		ProgressStream: spec.ProgressStream,
-		ProgressMS:     spec.ProgressMS,
-	}
-	if len(spec.Params) > 0 {
-		req.Params = make(map[string]int, len(spec.Params))
-		for k, v := range spec.Params {
-			req.Params[k] = int(v)
-		}
-	}
-	for i := range spec.Portfolio {
-		req.Portfolio = append(req.Portfolio, PortfolioSpec{
-			Weight: int(spec.Portfolio[i].Weight),
-			Engine: engineSpecFromWire(&spec.Portfolio[i].Engine),
-		})
-	}
-	return req
-}
-
-// DecodeRunRequestWire reads and validates one binary run request (a
-// single RunSpec frame). Structural wire errors and semantic failures
-// both wrap ErrBadRequest, exactly like the JSON decoder.
-func DecodeRunRequestWire(r io.Reader) (RunRequest, error) {
-	body, err := io.ReadAll(io.LimitReader(r, maxRequestBodyLen))
-	if err != nil {
-		return RunRequest{}, fmt.Errorf("%w: reading wire body: %v", ErrBadRequest, err)
-	}
-	typ, payload, rest, err := wire.DecodeFrame(body)
-	if err != nil {
-		return RunRequest{}, fmt.Errorf("%w: invalid wire frame: %v", ErrBadRequest, err)
-	}
-	if typ != wire.TypeRunSpec || len(rest) != 0 {
-		return RunRequest{}, fmt.Errorf("%w: expected exactly one run spec frame", ErrBadRequest)
-	}
-	spec, err := wire.DecodeRunSpec(payload)
-	if err != nil {
-		return RunRequest{}, fmt.Errorf("%w: invalid run spec: %v", ErrBadRequest, err)
-	}
-	req := runRequestFromWire(&spec)
-	if err := req.Validate(); err != nil {
-		return RunRequest{}, err
-	}
-	return req, nil
-}
-
 // DecodeRunRequest reads and structurally validates one RunRequest.
 // Every error wraps ErrBadRequest, so callers (and the fuzz suite) can
 // separate client mistakes from worker faults with errors.Is. Deep
@@ -517,14 +359,11 @@ func (req *RunRequest) Validate() error {
 	if (req.BoardStream == "") != (req.BoardJob == "") {
 		return fmt.Errorf("%w: board_stream and board_job must be set together", ErrBadRequest)
 	}
-	if len(req.ProgressURL) > maxBoardURL || len(req.ProgressStream) > maxBoardURL {
-		return fmt.Errorf("%w: progress URL or stream address exceeds %d bytes", ErrBadRequest, maxBoardURL)
+	if len(req.ProgressURL) > maxBoardURL {
+		return fmt.Errorf("%w: progress URL exceeds %d bytes", ErrBadRequest, maxBoardURL)
 	}
 	if req.ProgressMS < 0 {
 		return fmt.Errorf("%w: negative progress_ms", ErrBadRequest)
-	}
-	if req.ProgressURL == "" && req.ProgressStream != "" {
-		return fmt.Errorf("%w: progress_stream requires a progress_url fallback", ErrBadRequest)
 	}
 	if err := req.Engine.validate("engine"); err != nil {
 		return err

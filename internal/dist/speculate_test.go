@@ -57,14 +57,16 @@ func heldWorker(t *testing.T, wk *Worker, delay time.Duration) *httptest.Server 
 }
 
 // speculatingCoordinator builds a coordinator over the given worker
-// URLs with speculation tuned for test cadence.
-func speculatingCoordinator(t *testing.T, urls ...string) *Coordinator {
+// URLs with speculation tuned for test cadence; stream turns on the
+// board stream.
+func speculatingCoordinator(t *testing.T, stream bool, urls ...string) *Coordinator {
 	t.Helper()
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Workers:           urls,
 		Dynamic:           len(urls) == 0,
 		HeartbeatInterval: -1,
 		BoardSync:         2 * time.Millisecond,
+		Stream:            stream,
 		Speculate:         true,
 		SpeculateAfter:    50 * time.Millisecond,
 		SpeculateInterval: 25 * time.Millisecond,
@@ -80,7 +82,7 @@ func speculatingCoordinator(t *testing.T, urls ...string) *Coordinator {
 // TestDeliverSpecFirstWins drives the slot state machine through both
 // arrival orders and the failure-holding paths directly.
 func TestDeliverSpecFirstWins(t *testing.T) {
-	coord := speculatingCoordinator(t)
+	coord := speculatingCoordinator(t, false)
 	good := shardOutcome{res: multiwalk.Result{Completed: 2}}
 
 	newSlot := func() (*specSlot, *assignment, *assignment) {
@@ -145,14 +147,18 @@ func TestDeliverSpecFirstWins(t *testing.T) {
 // worker, with speculation on, must come back exactly as a
 // never-straggled run — every walker reported once with its global
 // identity, and (independent mode) bit-for-bit the clean fleet's
-// stats even when the straggler's copy lands after the backup.
+// stats even when the straggler's copy lands after the backup. The
+// stream case runs the same independent job on stream-enabled workers
+// and coordinator: the progress feed must still reach the detector.
 func TestSpeculativeRunMatchesUnperturbed(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		exchange bool
+		stream   bool
 	}{
 		{name: "independent"},
 		{name: "exchange", exchange: true},
+		{name: "stream", stream: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The budget must be far below costas 18's solve horizon: a
@@ -176,18 +182,18 @@ func TestSpeculativeRunMatchesUnperturbed(t *testing.T) {
 				t.Fatalf("reference run solved — budget %d too generous for the bit-for-bit comparison", engine.MaxIterations)
 			}
 
-			straggler := NewWorker(WorkerConfig{Slots: 2})
+			straggler := NewWorker(WorkerConfig{Slots: 2, Stream: tc.stream})
 			t.Cleanup(func() { straggler.Close() })
 			held := heldWorker(t, straggler, 150*time.Millisecond)
 			var urls []string
 			urls = append(urls, held.URL)
 			for i := 0; i < 2; i++ {
-				wk := NewWorker(WorkerConfig{Slots: 2})
+				wk := NewWorker(WorkerConfig{Slots: 2, Stream: tc.stream})
 				srv := httptest.NewServer(wk.Handler())
 				t.Cleanup(func() { srv.Close(); wk.Close() })
 				urls = append(urls, srv.URL)
 			}
-			coord := speculatingCoordinator(t, urls...)
+			coord := speculatingCoordinator(t, tc.stream, urls...)
 
 			res, err := coord.Run(context.Background(), job)
 			if err != nil {
@@ -252,7 +258,7 @@ func TestSpeculationLoserReleasesSlotsPromptly(t *testing.T) {
 		t.Cleanup(func() { srv.Close(); wk.Close() })
 		urls = append(urls, srv.URL)
 	}
-	coord := speculatingCoordinator(t, urls...)
+	coord := speculatingCoordinator(t, false, urls...)
 
 	// Walkers 0-1 (the held shard and its backup) finish fast; walkers
 	// 2-3 churn a much larger budget so the job is still in flight when

@@ -119,14 +119,6 @@ func (h *boardHub) serveStream(c *wire.Conn) {
 			if improved {
 				h.broadcast(m.Job, entry)
 			}
-		case wire.TypeShardProgress:
-			sp, err := wire.DecodeShardProgress(payload)
-			if err != nil {
-				return
-			}
-			if cb := h.onShardProgress; cb != nil {
-				cb(sp.Run, sp.Iters, sp.Walkers, sp.Best)
-			}
 		default:
 			// Unknown frame types are skipped for forward compatibility.
 		}
@@ -207,9 +199,7 @@ func newStreamPool() *streamPool {
 }
 
 // sess returns the pool's live session to the hub at addr, dialing a
-// fresh connection if none exists. Shared by the board join path and
-// the shard progress reporter (which needs a session without any board
-// subscription).
+// fresh connection if none exists.
 func (p *streamPool) sess(addr string) (*streamSess, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -308,15 +298,6 @@ func (s *streamSess) readLoop() {
 // publish pushes one local improvement for job over the stream.
 func (s *streamSess) publish(job string, cost int, cfg []int, gen uint64) error {
 	err := s.conn.WriteBoardSync(&wire.BoardSync{Job: job, Valid: true, Cost: int64(cost), Gen: gen, Cfg: cfg})
-	if err != nil {
-		s.fail()
-	}
-	return err
-}
-
-// reportProgress pushes one shard progress frame over the stream.
-func (s *streamSess) reportProgress(run string, iters, walkers, best int64) error {
-	err := s.conn.WriteShardProgress(&wire.ShardProgress{Run: run, Iters: iters, Walkers: walkers, Best: best})
 	if err != nil {
 		s.fail()
 	}

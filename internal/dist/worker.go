@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,11 +33,10 @@ type WorkerConfig struct {
 	// per-tick sync cadence against one coordinator host (each sync is
 	// bounded by its own timeout, so no global one is set).
 	BoardClient *http.Client
-	// Stream enables the worker side of the streaming control plane:
-	// exchange runs whose request carries a BoardStream address attach
-	// to the coordinator's persistent board stream instead of running
-	// the periodic POST loop. Binary run dispatch needs no flag — the
-	// run endpoint always accepts wire frames.
+	// Stream enables the worker side of the board stream: exchange
+	// runs whose request carries a BoardStream address attach to the
+	// coordinator's persistent board stream instead of running the
+	// periodic POST loop.
 	Stream bool
 	// Telemetry, when non-nil, receives periodic FTDC-style samples:
 	// worker gauges plus per-walker iteration and cost series for
@@ -248,17 +246,8 @@ func (wk *Worker) reserve(req *RunRequest, cancel context.CancelFunc) (release f
 }
 
 // handleRun executes one shard run and answers with its statistics.
-// The request body is JSON or a binary RunSpec frame, dispatched on
-// Content-Type; wire decoding is always available — it is stream
-// *sync* that is opt-in, not the codec.
 func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	var err error
-	if strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeWire) {
-		req, err = DecodeRunRequestWire(r.Body)
-	} else {
-		req, err = DecodeRunRequest(r.Body)
-	}
+	req, err := DecodeRunRequest(r.Body)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -413,23 +402,16 @@ func (rt *runTelem) snapshot() ShardProgressReport {
 }
 
 // reportProgress is the straggler detector's feed: a periodic loop
-// pushing the run's progress snapshot to the coordinator, over the
-// persistent wire stream when one is negotiated (ProgressStream) and
-// the HTTP fallback endpoint otherwise. Reports are advisory —
-// failures are dropped, never retried, and never slow the run; losing
-// the feed only makes this shard look like a straggler, which costs
-// the fleet one redundant backup run at worst.
+// posting the run's progress snapshot to the coordinator's
+// ProgressURL. Reports are advisory — failures are dropped, never
+// retried, and never slow the run; losing the feed only makes this
+// shard look like a straggler, which costs the fleet one redundant
+// backup run at worst.
 func (wk *Worker) reportProgress(ctx context.Context, wg *sync.WaitGroup, req *RunRequest, rt *runTelem) {
 	defer wg.Done()
 	period := time.Duration(req.ProgressMS) * time.Millisecond
 	if period <= 0 {
 		period = defaultProgressPeriod
-	}
-	var sess *streamSess
-	if wk.streams != nil && req.ProgressStream != "" {
-		if s, err := wk.streams.sess(req.ProgressStream); err == nil {
-			sess = s
-		}
 	}
 	tick := time.NewTicker(period)
 	defer tick.Stop()
@@ -440,17 +422,11 @@ func (wk *Worker) reportProgress(ctx context.Context, wg *sync.WaitGroup, req *R
 		case <-tick.C:
 		}
 		rep := rt.snapshot()
-		if sess != nil && sess.alive() {
-			if sess.reportProgress(req.ID, rep.Iters, rep.Walkers, rep.Best) == nil {
-				continue
-			}
-			sess = nil // stream died: fall back to HTTP for the rest
-		}
 		wk.postProgress(ctx, req.ProgressURL, &rep)
 	}
 }
 
-// postProgress sends one report over the HTTP fallback route.
+// postProgress sends one report to the coordinator.
 func (wk *Worker) postProgress(ctx context.Context, url string, rep *ShardProgressReport) {
 	payload, err := json.Marshal(rep)
 	if err != nil {
@@ -504,11 +480,9 @@ func (wk *Worker) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"active_runs":   active,
 		"runs_total":    wk.mRuns.Load(),
 		"cancels_total": wk.mCancelled.Load(),
-		// Capability advertisement for the coordinator's probe: wire is
-		// unconditional (the run endpoint always decodes binary
-		// frames); stream reports whether this worker will attach to a
-		// board stream when offered one.
-		"wire":   true,
+		// stream reports whether this worker will attach to a board
+		// stream when offered one (diagnostic; the coordinator reads
+		// only slots).
 		"stream": wk.streams != nil,
 	})
 }

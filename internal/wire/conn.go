@@ -181,20 +181,6 @@ func (c *Conn) WriteProgress(p *Progress) error {
 	})
 }
 
-// WriteShardProgress sends a ShardProgress frame.
-func (c *Conn) WriteShardProgress(p *ShardProgress) error {
-	return c.writeFrame(func(e *Encoder, dst []byte) ([]byte, error) {
-		return e.ShardProgressFrame(dst, p)
-	})
-}
-
-// WriteRunSpec sends a RunSpec frame.
-func (c *Conn) WriteRunSpec(r *RunSpec) error {
-	return c.writeFrame(func(e *Encoder, dst []byte) ([]byte, error) {
-		return e.RunSpecFrame(dst, r)
-	})
-}
-
 // Close closes the underlying connection. Safe to call concurrently
 // with reads and writes; both then fail and the caller unwinds.
 func (c *Conn) Close() error { return c.c.Close() }

@@ -22,7 +22,7 @@ func FuzzWireDecode(f *testing.F) {
 	if b, err := e.ProgressFrame(nil, &Progress{Job: "j1", State: "solved", Walker: -1, Terminal: true, Result: &ProgressResult{Solved: true, Solution: []int{0, 1}}}); err == nil {
 		seed = append(seed, b)
 	}
-	if b, err := e.RunSpecFrame(nil, &RunSpec{ID: "r", Mode: "run", Problem: "queens", TotalWalkers: 1, Count: 1}); err == nil {
+	if b, err := e.SubscribeFrame(nil, &Subscribe{Job: "job000001"}); err == nil {
 		seed = append(seed, b)
 	}
 	if b, err := e.HelloFrame(nil, &Hello{Role: "fuzz"}); err == nil {
@@ -60,8 +60,6 @@ func FuzzWireDecode(f *testing.F) {
 				_, err = DecodeSubscribe(payload)
 			case TypeProgress:
 				_, err = DecodeProgress(payload)
-			case TypeRunSpec:
-				_, err = DecodeRunSpec(payload)
 			}
 			typed(t, "payload decode", err)
 			rest = next
@@ -72,8 +70,6 @@ func FuzzWireDecode(f *testing.F) {
 		typed(t, "DecodeBoardSync", err)
 		_, err = DecodeProgress(data)
 		typed(t, "DecodeProgress", err)
-		_, err = DecodeRunSpec(data)
-		typed(t, "DecodeRunSpec", err)
 		_, err = DecodeHello(data)
 		typed(t, "DecodeHello", err)
 		_, err = DecodeSubscribe(data)

@@ -1,16 +1,21 @@
 // Package wire is the streaming control plane's binary codec: a
 // length-prefixed frame format and hand-rolled encoders/decoders for
-// the hot control-plane messages (board sync deltas, shard run specs,
-// job progress events). It exists because the HTTP/JSON paths
-// re-marshal whole structs per tick; the binary layout is a few
-// percent of the JSON size and encodes with zero allocations through a
-// reusable Encoder (see BenchmarkBoardSyncCodec in internal/dist).
+// the two per-tick flows that hold a persistent connection — elite
+// board sync deltas between coordinator and workers, and job progress
+// events from the service to streaming clients. It exists because
+// re-marshalling JSON per tick is what those flows would otherwise
+// pay; the binary layout is a few percent of the JSON size and encodes
+// with zero allocations through a reusable Encoder (see
+// BenchmarkBoardSyncCodec in internal/dist).
+//
+// Low-rate control messages — shard dispatch, cancel, fleet register,
+// heartbeat and deregister, and shard progress reports — have no
+// binary form: they travel as HTTP/JSON only (see internal/dist).
 //
 // The package is stdlib-only and imports nothing from this repository,
 // so every layer (dist, service, cmds, examples) can speak it without
-// cycles. HTTP/JSON remains the fallback and compatibility surface —
-// wire messages mirror the JSON structs; internal/dist and
-// internal/service own the conversions.
+// cycles; internal/dist and internal/service own the conversions to
+// and from their own structs.
 //
 // # Frame format
 //
@@ -20,8 +25,7 @@
 // Varints are unsigned LEB128 (little-endian base-128, low 7 bits
 // first — encoding/binary's format); signed fields use zigzag. Strings
 // are uvarint length + UTF-8 bytes. Fixed-width fields (the handshake
-// magic, packed configuration values, float64 bits) are explicitly
-// little-endian. Configurations — the bulk of board traffic — are
+// magic, packed configuration values) are explicitly little-endian. Configurations — the bulk of board traffic — are
 // packed as fixed-width little-endian values sized to the largest
 // element (1, 2 or 4 bytes), falling back to zigzag varints when a
 // value is negative:
@@ -38,7 +42,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Protocol identity, exchanged in the Hello handshake.
@@ -68,25 +71,12 @@ const (
 	TypeSubscribe byte = 0x03
 	// TypeProgress carries one job progress event.
 	TypeProgress byte = 0x04
-	// TypeRunSpec carries one shard run request (binary dispatch).
-	TypeRunSpec byte = 0x05
-	// TypeRegister carries one fleet-membership announcement (worker →
-	// coordinator).
-	TypeRegister byte = 0x06
-	// TypeHeartbeat carries one fleet liveness refresh (worker →
-	// coordinator).
-	TypeHeartbeat byte = 0x07
-	// TypeShardProgress carries one in-flight shard's progress report
-	// (worker → coordinator), feeding the straggler detector.
-	TypeShardProgress byte = 0x08
 )
 
 // Structural caps applied at decode time, before any allocation.
 const (
 	maxString = 4096
 	maxElems  = 1 << 20
-	maxSpecs  = 4096
-	maxParams = 256
 )
 
 // Typed decode errors.
@@ -159,107 +149,6 @@ type ProgressResult struct {
 	Solution         []int
 }
 
-// RunSpec mirrors the dist run request for binary dispatch: run the
-// global walkers [Start, Start+Count) of a TotalWalkers-walker job.
-// internal/dist owns the conversion to and from its JSON struct (and
-// all semantic validation); this layer checks structure only.
-type RunSpec struct {
-	ID           string
-	Mode         string
-	Problem      string
-	Size         int64
-	Seed         uint64
-	TotalWalkers int64
-	Start        int64
-	Count        int64
-	Engine       EngineSpec
-	Portfolio    []PortfolioSpec
-	DeadlineMS   int64
-	Exchange     ExchangeSpec
-	Board        string
-	BoardStream  string
-	BoardJob     string
-	// Params carries benchmark-specific problem parameters (the
-	// finite-domain benchmarks' knobs). Encoded sorted by key so equal
-	// specs produce identical bytes.
-	Params map[string]int64
-	// ProgressURL/ProgressStream/ProgressMS negotiate per-shard progress
-	// reporting (the straggler detector's feed): the HTTP fallback
-	// endpoint, the coordinator's stream hub address, and the report
-	// period in milliseconds. All empty/zero when the coordinator does
-	// not speculate.
-	ProgressURL    string
-	ProgressStream string
-	ProgressMS     int64
-}
-
-// EngineSpec is the binary form of the dist engine spec.
-type EngineSpec struct {
-	MaxIterations    int64
-	MaxRuns          int64
-	FreezeLocMin     int64
-	FreezeSwap       int64
-	ResetLimit       int64
-	ResetFraction    float64
-	ProbSelectLocMin float64
-	Strategy         string
-	FirstBest        bool
-	Exhaustive       bool
-	CheckEvery       int64
-	InitialConfig    []int
-}
-
-// PortfolioSpec is the binary form of one portfolio entry.
-type PortfolioSpec struct {
-	Weight int64
-	Engine EngineSpec
-}
-
-// ExchangeSpec is the binary form of the dist exchange spec.
-type ExchangeSpec struct {
-	Enabled      bool
-	Period       int64
-	AdoptFactor  float64
-	PerturbSwaps int64
-	SyncMS       int64
-}
-
-// Register announces a worker to the coordinator's fleet registry. URL
-// is the worker's advertised base URL (the coordinator probes it back
-// before enrolling); Slots/Wire/Stream describe the worker's claimed
-// capability, re-verified by the probe.
-type Register struct {
-	URL    string
-	Slots  int64
-	Wire   bool
-	Stream bool
-}
-
-// ShardProgress is one in-flight shard run's progress report: the
-// cumulative iteration count across the shard's walkers, sampled
-// periodically by the worker and fed to the coordinator's straggler
-// detector. Best is the lowest current cost across walkers that have
-// reported at least one iteration, or -1 when none have — the
-// unknown-cost sentinel never crosses the wire.
-type ShardProgress struct {
-	Run     string
-	Iters   int64
-	Walkers int64
-	Best    int64
-}
-
-// Heartbeat refreshes a registered worker's liveness and capability.
-// Busy is the worker's own busy-slot count (diagnostic; the coordinator
-// keeps its own reservation ledger). Draining announces a graceful
-// leave: the coordinator stops dispatching to the worker but lets
-// in-flight shards finish.
-type Heartbeat struct {
-	URL      string
-	Slots    int64
-	Busy     int64
-	Draining bool
-}
-
 // ---------------------------------------------------------------------
 // Append-style primitives (encode side).
 
@@ -273,10 +162,6 @@ func appendBool(dst []byte, v bool) []byte {
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-func appendFloat(dst []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 }
 
 // appendInts packs an int slice as fixed-width little-endian values
@@ -392,19 +277,6 @@ func (d *decoder) bool() bool {
 		d.fail(fmt.Errorf("%w: bool out of range", ErrMalformed))
 		return false
 	}
-}
-
-func (d *decoder) float() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 8 {
-		d.fail(ErrTruncated)
-		return 0
-	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
-	d.buf = d.buf[8:]
-	return f
 }
 
 func (d *decoder) string() string {
@@ -614,192 +486,6 @@ func DecodeProgress(p []byte) (Progress, error) {
 	return ev, d.finish()
 }
 
-func appendEngineSpec(dst []byte, e *EngineSpec) []byte {
-	dst = binary.AppendVarint(dst, e.MaxIterations)
-	dst = binary.AppendVarint(dst, e.MaxRuns)
-	dst = binary.AppendVarint(dst, e.FreezeLocMin)
-	dst = binary.AppendVarint(dst, e.FreezeSwap)
-	dst = binary.AppendVarint(dst, e.ResetLimit)
-	dst = appendFloat(dst, e.ResetFraction)
-	dst = appendFloat(dst, e.ProbSelectLocMin)
-	dst = appendString(dst, e.Strategy)
-	dst = appendBool(dst, e.FirstBest)
-	dst = appendBool(dst, e.Exhaustive)
-	dst = binary.AppendVarint(dst, e.CheckEvery)
-	return appendInts(dst, e.InitialConfig)
-}
-
-func (d *decoder) engineSpec() EngineSpec {
-	return EngineSpec{
-		MaxIterations:    d.varint(),
-		MaxRuns:          d.varint(),
-		FreezeLocMin:     d.varint(),
-		FreezeSwap:       d.varint(),
-		ResetLimit:       d.varint(),
-		ResetFraction:    d.float(),
-		ProbSelectLocMin: d.float(),
-		Strategy:         d.string(),
-		FirstBest:        d.bool(),
-		Exhaustive:       d.bool(),
-		CheckEvery:       d.varint(),
-		InitialConfig:    d.ints(),
-	}
-}
-
-// AppendRunSpec appends a RunSpec payload.
-func AppendRunSpec(dst []byte, r *RunSpec) []byte {
-	dst = appendString(dst, r.ID)
-	dst = appendString(dst, r.Mode)
-	dst = appendString(dst, r.Problem)
-	dst = binary.AppendVarint(dst, r.Size)
-	dst = binary.AppendUvarint(dst, r.Seed)
-	dst = binary.AppendVarint(dst, r.TotalWalkers)
-	dst = binary.AppendVarint(dst, r.Start)
-	dst = binary.AppendVarint(dst, r.Count)
-	dst = appendEngineSpec(dst, &r.Engine)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Portfolio)))
-	for i := range r.Portfolio {
-		dst = binary.AppendVarint(dst, r.Portfolio[i].Weight)
-		dst = appendEngineSpec(dst, &r.Portfolio[i].Engine)
-	}
-	dst = binary.AppendVarint(dst, r.DeadlineMS)
-	dst = appendBool(dst, r.Exchange.Enabled)
-	dst = binary.AppendVarint(dst, r.Exchange.Period)
-	dst = appendFloat(dst, r.Exchange.AdoptFactor)
-	dst = binary.AppendVarint(dst, r.Exchange.PerturbSwaps)
-	dst = binary.AppendVarint(dst, r.Exchange.SyncMS)
-	dst = appendString(dst, r.Board)
-	dst = appendString(dst, r.BoardStream)
-	dst = appendString(dst, r.BoardJob)
-	keys := make([]string, 0, len(r.Params))
-	for k := range r.Params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
-		dst = appendString(dst, k)
-		dst = binary.AppendVarint(dst, r.Params[k])
-	}
-	dst = appendString(dst, r.ProgressURL)
-	dst = appendString(dst, r.ProgressStream)
-	return binary.AppendVarint(dst, r.ProgressMS)
-}
-
-// DecodeRunSpec parses a RunSpec payload.
-func DecodeRunSpec(p []byte) (RunSpec, error) {
-	d := decoder{buf: p}
-	r := RunSpec{
-		ID:           d.string(),
-		Mode:         d.string(),
-		Problem:      d.string(),
-		Size:         d.varint(),
-		Seed:         d.uvarint(),
-		TotalWalkers: d.varint(),
-		Start:        d.varint(),
-		Count:        d.varint(),
-		Engine:       d.engineSpec(),
-	}
-	n := d.uvarint()
-	if n > maxSpecs {
-		d.fail(fmt.Errorf("%w: portfolio of %d entries exceeds %d", ErrMalformed, n, maxSpecs))
-	}
-	if d.err == nil {
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			r.Portfolio = append(r.Portfolio, PortfolioSpec{
-				Weight: d.varint(),
-				Engine: d.engineSpec(),
-			})
-		}
-	}
-	r.DeadlineMS = d.varint()
-	r.Exchange = ExchangeSpec{
-		Enabled:      d.bool(),
-		Period:       d.varint(),
-		AdoptFactor:  d.float(),
-		PerturbSwaps: d.varint(),
-		SyncMS:       d.varint(),
-	}
-	r.Board = d.string()
-	r.BoardStream = d.string()
-	r.BoardJob = d.string()
-	pn := d.uvarint()
-	if pn > maxParams {
-		d.fail(fmt.Errorf("%w: %d problem parameters exceed %d", ErrMalformed, pn, maxParams))
-	}
-	if d.err == nil && pn > 0 {
-		r.Params = make(map[string]int64, pn)
-		for i := uint64(0); i < pn && d.err == nil; i++ {
-			k := d.string()
-			r.Params[k] = d.varint()
-		}
-	}
-	r.ProgressURL = d.string()
-	r.ProgressStream = d.string()
-	r.ProgressMS = d.varint()
-	return r, d.finish()
-}
-
-// AppendRegister appends a Register payload.
-func AppendRegister(dst []byte, r *Register) []byte {
-	dst = appendString(dst, r.URL)
-	dst = binary.AppendVarint(dst, r.Slots)
-	dst = appendBool(dst, r.Wire)
-	return appendBool(dst, r.Stream)
-}
-
-// DecodeRegister parses a Register payload.
-func DecodeRegister(p []byte) (Register, error) {
-	d := decoder{buf: p}
-	r := Register{
-		URL:    d.string(),
-		Slots:  d.varint(),
-		Wire:   d.bool(),
-		Stream: d.bool(),
-	}
-	return r, d.finish()
-}
-
-// AppendShardProgress appends a ShardProgress payload.
-func AppendShardProgress(dst []byte, p *ShardProgress) []byte {
-	dst = appendString(dst, p.Run)
-	dst = binary.AppendVarint(dst, p.Iters)
-	dst = binary.AppendVarint(dst, p.Walkers)
-	return binary.AppendVarint(dst, p.Best)
-}
-
-// DecodeShardProgress parses a ShardProgress payload.
-func DecodeShardProgress(p []byte) (ShardProgress, error) {
-	d := decoder{buf: p}
-	sp := ShardProgress{
-		Run:     d.string(),
-		Iters:   d.varint(),
-		Walkers: d.varint(),
-		Best:    d.varint(),
-	}
-	return sp, d.finish()
-}
-
-// AppendHeartbeat appends a Heartbeat payload.
-func AppendHeartbeat(dst []byte, h *Heartbeat) []byte {
-	dst = appendString(dst, h.URL)
-	dst = binary.AppendVarint(dst, h.Slots)
-	dst = binary.AppendVarint(dst, h.Busy)
-	return appendBool(dst, h.Draining)
-}
-
-// DecodeHeartbeat parses a Heartbeat payload.
-func DecodeHeartbeat(p []byte) (Heartbeat, error) {
-	d := decoder{buf: p}
-	h := Heartbeat{
-		URL:      d.string(),
-		Slots:    d.varint(),
-		Busy:     d.varint(),
-		Draining: d.bool(),
-	}
-	return h, d.finish()
-}
-
 // ---------------------------------------------------------------------
 // Framing.
 
@@ -843,30 +529,6 @@ func (e *Encoder) BoardSyncFrame(dst []byte, m *BoardSync) ([]byte, error) {
 func (e *Encoder) ProgressFrame(dst []byte, p *Progress) ([]byte, error) {
 	e.scratch = AppendProgress(e.scratch[:0], p)
 	return e.frame(dst, TypeProgress)
-}
-
-// RunSpecFrame appends a framed RunSpec to dst.
-func (e *Encoder) RunSpecFrame(dst []byte, r *RunSpec) ([]byte, error) {
-	e.scratch = AppendRunSpec(e.scratch[:0], r)
-	return e.frame(dst, TypeRunSpec)
-}
-
-// RegisterFrame appends a framed Register to dst.
-func (e *Encoder) RegisterFrame(dst []byte, r *Register) ([]byte, error) {
-	e.scratch = AppendRegister(e.scratch[:0], r)
-	return e.frame(dst, TypeRegister)
-}
-
-// HeartbeatFrame appends a framed Heartbeat to dst.
-func (e *Encoder) HeartbeatFrame(dst []byte, h *Heartbeat) ([]byte, error) {
-	e.scratch = AppendHeartbeat(e.scratch[:0], h)
-	return e.frame(dst, TypeHeartbeat)
-}
-
-// ShardProgressFrame appends a framed ShardProgress to dst.
-func (e *Encoder) ShardProgressFrame(dst []byte, p *ShardProgress) ([]byte, error) {
-	e.scratch = AppendShardProgress(e.scratch[:0], p)
-	return e.frame(dst, TypeShardProgress)
 }
 
 // DecodeFrame splits one frame off data, returning its type, payload

@@ -72,65 +72,6 @@ func TestProgressRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRunSpecRoundTrip(t *testing.T) {
-	in := RunSpec{
-		ID: "job000009-s1", Mode: "run", Problem: "magic-square", Size: 14,
-		Seed: 20260729, TotalWalkers: 3, Start: 1, Count: 2,
-		Engine: EngineSpec{
-			MaxIterations: 300000, MaxRuns: 1, FreezeLocMin: 2, FreezeSwap: 3,
-			ResetLimit: 4, ResetFraction: 0.25, ProbSelectLocMin: 0.5,
-			Strategy: "adaptive", FirstBest: true, CheckEvery: 64,
-			InitialConfig: []int{1, 0, 2},
-		},
-		Portfolio: []PortfolioSpec{
-			{Weight: 1, Engine: EngineSpec{Strategy: "adaptive"}},
-			{Weight: 2, Engine: EngineSpec{Strategy: "random-walk", Exhaustive: true}},
-		},
-		DeadlineMS:     5000,
-		Exchange:       ExchangeSpec{Enabled: true, Period: 64, AdoptFactor: 1.0, PerturbSwaps: 2, SyncMS: 2},
-		Board:          "http://127.0.0.1:1234/v1/runs/job000009/board",
-		BoardStream:    "127.0.0.1:5678",
-		BoardJob:       "job000009",
-		ProgressURL:    "http://127.0.0.1:1234/v1/runs/job000009-s1/progress",
-		ProgressStream: "127.0.0.1:5678",
-		ProgressMS:     250,
-	}
-	buf := frameOf(t, func(e *Encoder, dst []byte) ([]byte, error) { return e.RunSpecFrame(dst, &in) })
-	typ, payload, _, err := DecodeFrame(buf)
-	if err != nil || typ != TypeRunSpec {
-		t.Fatalf("DecodeFrame: typ=%#x err=%v", typ, err)
-	}
-	out, err := DecodeRunSpec(payload)
-	if err != nil {
-		t.Fatalf("DecodeRunSpec: %v", err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Errorf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
-	}
-}
-
-func TestShardProgressRoundTrip(t *testing.T) {
-	cases := []ShardProgress{
-		{Run: "job000001-s0", Best: -1},
-		{Run: "job000001-s1", Iters: 123456, Walkers: 3, Best: 42},
-		{Run: "job000002-b1-s0", Iters: 1 << 40, Walkers: 8, Best: 0},
-	}
-	for _, in := range cases {
-		buf := frameOf(t, func(e *Encoder, dst []byte) ([]byte, error) { return e.ShardProgressFrame(dst, &in) })
-		typ, payload, rest, err := DecodeFrame(buf)
-		if err != nil || typ != TypeShardProgress || len(rest) != 0 {
-			t.Fatalf("DecodeFrame: typ=%#x rest=%d err=%v", typ, len(rest), err)
-		}
-		out, err := DecodeShardProgress(payload)
-		if err != nil {
-			t.Fatalf("DecodeShardProgress(%+v): %v", in, err)
-		}
-		if !reflect.DeepEqual(in, out) {
-			t.Errorf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
-		}
-	}
-}
-
 func TestHelloSubscribeRoundTrip(t *testing.T) {
 	hbuf := frameOf(t, func(e *Encoder, dst []byte) ([]byte, error) { return e.HelloFrame(dst, &Hello{Role: "worker"}) })
 	typ, payload, _, err := DecodeFrame(hbuf)
