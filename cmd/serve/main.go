@@ -46,6 +46,7 @@
 //
 //	POST /v1/solve              submit a job ({"wait": true} for sync)
 //	GET  /v1/jobs/{id}          job status / result
+//	GET  /v1/jobs/{id}/events   live job progress (newline-delimited JSON)
 //	POST /v1/jobs/{id}/cancel   cancel a job
 //	GET  /v1/problems           registered benchmarks and strategies
 //	POST /v1/fleet/register     worker self-registration (with -fleet)
@@ -56,14 +57,9 @@
 //	GET  /metrics               scheduler counters (JSON)
 //	GET  /debug/vars            process-wide expvar (memstats etc.)
 //
-// With -stream, the server additionally opens the persistent binary
-// streaming control plane (internal/wire): a job-progress stream
-// listener clients discover through /healthz ("stream_addr") and
-// subscribe to instead of polling GET /v1/jobs/{id}, and — under
-// -workers — streaming board sync, where each worker holds one
-// multiplexed TCP connection to the coordinator's board instead of
-// the periodic POST loop. HTTP stays as the fallback transport either
-// way (see DESIGN.md §11).
+// Every message is HTTP/JSON (see DESIGN.md §11): clients await an
+// async job on GET /v1/jobs/{id}/events instead of polling, and under
+// -workers the workers sync exchange boards with periodic POSTs.
 //
 // With -calibration FILE, the server loads a runtime-calibration store
 // (seed it offline with `experiments -calibrate FILE`), enabling
@@ -129,10 +125,6 @@ func run() error {
 		boardAddr      = flag.String("board-addr", "", "exchange-board listen address for distributed dependent runs (empty = 127.0.0.1:0; the server starts lazily on the first exchange job)")
 		boardAdvertise = flag.String("board-advertise", "", "base URL workers use to reach the exchange board (empty = derived from the board listener; set it when workers are on other hosts)")
 		boardSync      = flag.Duration("board-sync", 0, "worker board-cache sync period for dependent runs (0 = 50ms)")
-		stream         = flag.Bool("stream", false, "enable the persistent binary streaming control plane: job-progress streaming plus, with -workers, streaming board sync")
-		streamAddr     = flag.String("stream-addr", "", "job-progress stream listen address (empty = 127.0.0.1:0)")
-		streamAdv      = flag.String("stream-advertise", "", "host:port clients use to reach the progress stream (empty = derived from the stream listener; set it when clients are on other hosts)")
-		boardStream    = flag.String("board-stream-addr", "", "board stream listen address for -stream -workers fleets (empty = 127.0.0.1:0; started lazily on the first exchange job)")
 		speculate      = flag.Bool("speculate", false, "re-dispatch straggling shards speculatively on free healthy workers and keep whichever copy finishes first (needs a distributed backend)")
 		speculateThr   = flag.Float64("speculate-threshold", 0, "straggler threshold: a shard speculates when its per-walker progress x threshold < the job median (0 = 2, must be > 1)")
 		telemetryPath  = flag.String("telemetry", "", "append FTDC-style telemetry frames to this file (empty = off)")
@@ -140,8 +132,6 @@ func run() error {
 		calibration    = flag.String("calibration", "", "runtime-calibration store path: loaded at startup (missing file = empty store), fed by solved jobs, saved on shutdown; enables {\"autosize\": ...} requests (seed offline with `experiments -calibrate`)")
 	)
 	flag.Parse()
-
-	streaming := *stream
 
 	tenantPolicies, err := parseTenants(*tenants)
 	if err != nil {
@@ -163,8 +153,6 @@ func run() error {
 			BoardAddr:          *boardAddr,
 			BoardAdvertise:     *boardAdvertise,
 			BoardSync:          *boardSync,
-			Stream:             streaming,
-			StreamAddr:         *boardStream,
 			Speculate:          *speculate,
 			SpeculateThreshold: *speculateThr,
 		})
@@ -203,21 +191,6 @@ func run() error {
 		Calibration:    calStore,
 	})
 	expvar.Publish("scheduler", expvar.Func(func() any { return sched.Stats() }))
-
-	if streaming {
-		sv, err := service.NewStreamServer(sched, *streamAddr)
-		if err != nil {
-			sched.Close()
-			return err
-		}
-		defer sv.Close()
-		adv := *streamAdv
-		if adv == "" {
-			adv = sv.Addr()
-		}
-		sched.SetStreamAddr(adv)
-		log.Printf("serve: progress stream on %s (advertised %s)", sv.Addr(), adv)
-	}
 
 	if *telemetryPath != "" {
 		f, err := os.Create(*telemetryPath)

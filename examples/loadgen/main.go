@@ -24,15 +24,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"os"
 	"sort"
 	"strconv"
@@ -43,7 +42,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/service"
-	"repro/internal/wire"
 )
 
 // scenario is one entry of the mixed workload.
@@ -104,7 +102,7 @@ func run() error {
 		seed        = flag.Int64("seed", 1, "workload shuffle seed")
 		exchange    = flag.Bool("exchange", false, "run multi-walker scenarios in dependent (exchange) mode — on a dist backend, walkers cooperate across worker processes")
 		tenantsMix  = flag.String("tenants", "", "attribute jobs to tenants by weight, name=weight,... (e.g. batch=3,interactive=1); empty submits without tenant attribution")
-		stream      = flag.Bool("stream", false, "await async jobs over the persistent binary progress stream instead of GET polling (with -inprocess, also stands the stream listener up; against -addr, discovered via /healthz stream_addr)")
+		stream      = flag.Bool("stream", false, "await async jobs on the GET /v1/jobs/{id}/events stream instead of GET polling")
 		autosize    = flag.String("autosize", "", "replace the mixed workload with auto-sized jobs of this problem spec (\"problem\" or \"problem:size\"): requests carry {\"autosize\": {}} instead of a walker count, the server must hold calibration for the problem (serve -calibration), and every returned job must echo a predictor-chosen walker count >= 1")
 	)
 	flag.Parse()
@@ -126,22 +124,9 @@ func run() error {
 			fmt.Printf("in-process fleet: %d workers x %d slots\n", *distWorkers, *distSlots)
 		}
 		sched := service.New(service.Config{Slots: *slots, QueueDepth: *queueDepth, Backend: backend})
-		var streamSrv *service.StreamServer
-		if *stream {
-			var err error
-			streamSrv, err = service.NewStreamServer(sched, "")
-			if err != nil {
-				sched.Close()
-				return err
-			}
-			sched.SetStreamAddr(streamSrv.Addr())
-		}
 		srv := httptest.NewServer(service.NewHandler(sched))
 		defer func() {
 			srv.Close()
-			if streamSrv != nil {
-				streamSrv.Close()
-			}
 			sched.Close() // closes the coordinator backend too
 			if fleetDown != nil {
 				fleetDown()
@@ -158,25 +143,9 @@ func run() error {
 	// Clamp scenario walker counts to the server's pool size (a
 	// k-walker job needs k slots) so the mix adapts to any machine —
 	// single-core CI included.
-	poolSlots, streamAddr, err := serverHealth(client, base)
+	poolSlots, err := serverHealth(client, base)
 	if err != nil {
 		return fmt.Errorf("probing %s/healthz: %w", base, err)
-	}
-
-	// Streaming transport: one persistent multiplexed connection awaits
-	// every async job's terminal event; polling stays the fallback if
-	// the server does not advertise a stream or the connection dies.
-	var streamCli *streamClient
-	if *stream {
-		if streamAddr == "" {
-			return fmt.Errorf("-stream: server %s advertises no stream_addr (start serve with -stream)", base)
-		}
-		streamCli, err = dialStream(resolveStreamAddr(base, streamAddr))
-		if err != nil {
-			return fmt.Errorf("-stream: dialing %s: %w", streamAddr, err)
-		}
-		defer streamCli.close()
-		fmt.Printf("progress stream connected: %s\n", streamAddr)
 	}
 	mix := scenarios(*timeoutMS, *exchange)
 	if *autosize != "" {
@@ -241,7 +210,7 @@ func run() error {
 				sc := mix[order[i]]
 				wait := *asyncEvery == 0 || i%*asyncEvery != 0
 				t0 := time.Now()
-				job, nRetries, err := submit(client, base, sc, tenantOf[i], uint64(i+1), wait, streamCli, &transport)
+				job, nRetries, err := submit(client, base, sc, tenantOf[i], uint64(i+1), wait, *stream, &transport)
 				lat := time.Since(t0)
 				retries.Add(int64(nRetries))
 				if err != nil {
@@ -328,56 +297,38 @@ func inprocessFleet(n, slotsEach int) (service.Backend, func(), error) {
 	return coord, down, nil
 }
 
-// serverHealth reads the walker-slot pool size and the advertised
-// progress-stream address (if any) from /healthz.
-func serverHealth(client *http.Client, base string) (int, string, error) {
+// serverHealth reads the walker-slot pool size from /healthz.
+func serverHealth(client *http.Client, base string) (int, error) {
 	resp, err := client.Get(base + "/healthz")
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	var health struct {
-		Slots      int    `json:"slots"`
-		StreamAddr string `json:"stream_addr"`
+		Slots int `json:"slots"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	if health.Slots < 1 {
-		return 0, "", fmt.Errorf("server reports %d slots", health.Slots)
+		return 0, fmt.Errorf("server reports %d slots", health.Slots)
 	}
-	return health.Slots, health.StreamAddr, nil
-}
-
-// resolveStreamAddr makes an advertised stream address dialable: a
-// listener bound to a wildcard host advertises an unspecified address,
-// which is rewritten to the host the HTTP base URL already reaches.
-func resolveStreamAddr(base, addr string) string {
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return addr
-	}
-	if ip := net.ParseIP(host); host == "" || (ip != nil && ip.IsUnspecified()) {
-		if u, err := url.Parse(base); err == nil && u.Hostname() != "" {
-			return net.JoinHostPort(u.Hostname(), port)
-		}
-	}
-	return addr
+	return health.Slots, nil
 }
 
 // transportMix counts how each job reached its terminal state.
 type transportMix struct {
 	waited   atomic.Int64 // synchronous {"wait": true}
-	streamed atomic.Int64 // async, awaited over the progress stream
+	streamed atomic.Int64 // async, awaited on the events stream
 	polled   atomic.Int64 // async, GET polling (fallback or -stream off)
 }
 
 // submit runs one job to a terminal state: synchronously via
-// {"wait": true}, or asynchronously — awaited over the progress stream
-// when one is connected, with jittered-exponential-backoff GET polling
-// as the fallback. 429 responses are retried with backoff and reported
+// {"wait": true}, or asynchronously — awaited on the job's events
+// stream when stream is set, with jittered-exponential-backoff GET
+// polling as the fallback. 429 responses are retried with backoff and reported
 // in the retry counter.
-func submit(client *http.Client, base string, sc scenario, tenant string, seed uint64, wait bool, stream *streamClient, mix *transportMix) (service.Job, int, error) {
+func submit(client *http.Client, base string, sc scenario, tenant string, seed uint64, wait bool, stream bool, mix *transportMix) (service.Job, int, error) {
 	req := make(map[string]any, len(sc.req)+3)
 	for k, v := range sc.req {
 		req[k] = v
@@ -419,11 +370,11 @@ func submit(client *http.Client, base string, sc scenario, tenant string, seed u
 		return service.Job{}, retries, fmt.Errorf("unexpected status %d: %+v", resp.StatusCode, job)
 	}
 
-	// Async path, streaming transport first: subscribe and block for
-	// the terminal event — zero polling requests. A dead or missing
-	// stream degrades to the polling loop below.
-	if stream != nil {
-		if final, err := stream.await(job.ID); err == nil {
+	// Async path, events stream first: block on the job's event lines
+	// for the terminal one — zero polling requests. A stream that ends
+	// without a terminal line degrades to the polling loop below.
+	if stream {
+		if final, err := awaitEvents(client, base, job.ID); err == nil {
 			mix.streamed.Add(1)
 			return final, retries, nil
 		}
@@ -459,95 +410,35 @@ func submit(client *http.Client, base string, sc scenario, tenant string, seed u
 	}
 }
 
-// streamClient is loadgen's end of the job-progress stream: one
-// multiplexed connection shared by every client worker, a reader
-// goroutine routing terminal frames to per-job waiters. Any failure
-// marks the client dead and wakes every waiter with an error; their
-// jobs (and all later ones) fall back to HTTP polling.
-type streamClient struct {
-	conn *wire.Conn
-
-	mu      sync.Mutex
-	waiters map[string]chan service.Job
-
-	dead     chan struct{}
-	deadOnce sync.Once
-}
-
-func dialStream(addr string) (*streamClient, error) {
-	conn, err := wire.Dial(addr, "loadgen", 10*time.Second)
+// awaitEvents reads GET /v1/jobs/{id}/events, one JSON event per
+// line, until the terminal event and returns the job it carries.
+// Milestone lines are skipped: loadgen only needs the outcome.
+func awaitEvents(client *http.Client, base, id string) (service.Job, error) {
+	resp, err := client.Get(base + "/v1/jobs/" + id + "/events")
 	if err != nil {
-		return nil, err
-	}
-	sc := &streamClient{
-		conn:    conn,
-		waiters: make(map[string]chan service.Job),
-		dead:    make(chan struct{}),
-	}
-	go sc.readLoop()
-	return sc, nil
-}
-
-func (sc *streamClient) readLoop() {
-	for {
-		typ, payload, err := sc.conn.ReadFrame()
-		if err != nil {
-			sc.fail()
-			return
-		}
-		if typ != wire.TypeProgress {
-			continue
-		}
-		p, err := wire.DecodeProgress(payload)
-		if err != nil {
-			sc.fail()
-			return
-		}
-		if !p.Terminal {
-			continue // milestone events; loadgen only needs the outcome
-		}
-		sc.mu.Lock()
-		ch := sc.waiters[p.Job]
-		delete(sc.waiters, p.Job)
-		sc.mu.Unlock()
-		if ch != nil {
-			ch <- service.JobFromProgress(&p)
-		}
-	}
-}
-
-// await subscribes to one job and blocks until its terminal event.
-func (sc *streamClient) await(jobID string) (service.Job, error) {
-	ch := make(chan service.Job, 1)
-	sc.mu.Lock()
-	sc.waiters[jobID] = ch
-	sc.mu.Unlock()
-	if err := sc.conn.WriteSubscribe(jobID); err != nil {
-		sc.fail()
 		return service.Job{}, err
 	}
-	select {
-	case job := <-ch:
-		if !job.State.Terminal() {
-			// A terminal error frame without a state (unknown/evicted
-			// job): let the caller poll for the authoritative answer.
-			return service.Job{}, fmt.Errorf("stream: %s", job.Error)
-		}
-		return job, nil
-	case <-sc.dead:
-		return service.Job{}, fmt.Errorf("stream connection lost")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return service.Job{}, fmt.Errorf("events status %d", resp.StatusCode)
 	}
+	sc := bufio.NewScanner(resp.Body)
+	// The terminal line carries the solution; allow for large instances.
+	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
+	for sc.Scan() {
+		var ev service.ProgressEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			return service.Job{}, err
+		}
+		if ev.Terminal && ev.Job != nil {
+			return *ev.Job, nil
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return service.Job{}, err
+	}
+	return service.Job{}, fmt.Errorf("events for %s ended without a terminal line", id)
 }
-
-func (sc *streamClient) fail() {
-	sc.deadOnce.Do(func() { close(sc.dead) })
-	_ = sc.conn.Close()
-	sc.mu.Lock()
-	sc.waiters = make(map[string]chan service.Job)
-	sc.mu.Unlock()
-}
-
-func (sc *streamClient) close() { sc.fail() }
 
 // parseTenantMix parses -tenants (name=weight,...) into a weighted
 // random picker over tenant names; nil when the flag is unset.

@@ -40,7 +40,8 @@ const SchemaVersion = 1
 const maxDecodeBytes = 16 << 20
 
 // Bounds on stored volume. Batches are append-only up to the cap;
-// past it the oldest batches of the entry are dropped first.
+// past it the entry's oldest batch of the incoming kind (sequential or
+// not) is dropped first.
 const (
 	maxBatchesPerEntry = 512
 	maxObsPerBatch     = 100_000
@@ -167,9 +168,13 @@ func NewStore() *Store {
 }
 
 // Record appends a batch under key. Invalid batches are rejected; once
-// the entry is at its batch cap the oldest batch is evicted to make
-// room (the store favors fresh evidence). Recording into a full store
-// (max distinct keys) fails rather than evicting another population.
+// the entry is at its batch cap the oldest batch of the same kind —
+// Sequential or not — is evicted to make room (the store favors fresh
+// evidence), and the oldest batch overall only when the entry holds
+// none of that kind. Evicting within the kind keeps a key fed only
+// k>=2 traffic from losing the sequential draws Resolve fits. Recording
+// into a full store (max distinct keys) fails rather than evicting
+// another population.
 func (s *Store) Record(key Key, b Batch) error {
 	if err := b.validate(); err != nil {
 		return err
@@ -189,7 +194,14 @@ func (s *Store) Record(key Key, b Batch) error {
 		s.entries[key] = e
 	}
 	if len(e.Batches) >= maxBatchesPerEntry {
-		e.Batches = e.Batches[1:]
+		drop := 0
+		for i := range e.Batches {
+			if e.Batches[i].Sequential == b.Sequential {
+				drop = i
+				break
+			}
+		}
+		e.Batches = append(e.Batches[:drop], e.Batches[drop+1:]...)
 	}
 	e.Batches = append(e.Batches, b)
 	return nil

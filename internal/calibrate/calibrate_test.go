@@ -219,6 +219,44 @@ func TestBatchCapKeepsFresh(t *testing.T) {
 	}
 }
 
+// TestBatchCapKeepsSequentialDraws: a key seeded with one sequential
+// batch and then fed only k=2 batches past the cap must keep its
+// sequential draws, so Resolve still fits instead of reporting
+// ErrInsufficient (which the service turns into 409 on every autosize
+// request).
+func TestBatchCapKeepsSequentialDraws(t *testing.T) {
+	st := NewStore()
+	key := Key{Problem: "costas", Size: 13, Strategy: "adaptive"}
+	now := time.Now()
+	r := rng.New(3)
+	if err := st.Record(key, seqBatch(t, drawShiftedExp(r, 100, 2000, 60), 1e5, now)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < maxBatchesPerEntry; i++ {
+		b := Batch{Source: "live", RecordedAt: now, Walkers: 2, Iters: []float64{float64(500 + i)}, ItersPerSec: 1e5}
+		if err := st.Record(key, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := st.Resolve(key)
+	if err != nil {
+		t.Fatalf("Resolve after %d k=2 records: %v", maxBatchesPerEntry, err)
+	}
+	if res.Samples != 60 || res.Fit.Family == "" {
+		t.Fatalf("Samples = %d fit = %+v, want the seeded 60 draws fitted", res.Samples, res.Fit)
+	}
+	// The cap still holds, and the oldest k=2 batch made room.
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e := st.entries[key]
+	if len(e.Batches) != maxBatchesPerEntry {
+		t.Fatalf("entry holds %d batches, want cap %d", len(e.Batches), maxBatchesPerEntry)
+	}
+	if !e.Batches[0].Sequential || e.Batches[1].Iters[0] != 501 {
+		t.Fatalf("eviction kept %+v then %v, want the seed batch then k=2 iters 501", e.Batches[0].Sequential, e.Batches[1].Iters)
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	st := NewStore()
 	now := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)

@@ -66,17 +66,6 @@ type CoordinatorConfig struct {
 	// reconcile with the global board. 0 lets each worker apply its
 	// default (50ms).
 	BoardSync time.Duration
-	// Stream enables the board stream: exchange jobs sync through a
-	// persistent multiplexed binary connection to the hub in place of
-	// the periodic POST loop; a worker without stream support keeps
-	// the HTTP board path. cmd/serve's -stream sets it together with
-	// the service's client progress stream. Shard dispatch, fleet
-	// membership and shard progress are HTTP/JSON either way.
-	Stream bool
-	// StreamAddr is the listen address of the board stream hub. Empty
-	// selects 127.0.0.1:0; set it (with a routable host) when workers
-	// are on other machines. Only used when Stream is set.
-	StreamAddr string
 	// Speculate enables straggler speculation for wall-clock (Run mode)
 	// jobs: workers report per-shard progress, a detector compares each
 	// running shard against the job's median, and a shard lagging past
@@ -162,7 +151,6 @@ type Coordinator struct {
 
 	boards    *boardHub
 	boardSync time.Duration
-	stream    bool
 
 	speculate     bool
 	specThreshold float64
@@ -260,9 +248,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		probeTimeout:    probeTimeout,
 		hbInterval:      hbInterval,
 		recoverAttempts: recoverAttempts,
-		boards:          newBoardHub(cfg.BoardAddr, cfg.BoardAdvertise, cfg.StreamAddr),
+		boards:          newBoardHub(cfg.BoardAddr, cfg.BoardAdvertise),
 		boardSync:       cfg.BoardSync,
-		stream:          cfg.Stream,
 		speculate:       cfg.Speculate,
 		specThreshold:   specThreshold,
 		specAfter:       specAfter,
@@ -363,16 +350,15 @@ func (c *Coordinator) sweep() {
 	wg.Wait()
 }
 
-// BoardTraffic reports the cumulative exchange-board bytes moved each
-// way (HTTP sync bodies plus stream frames) — the board-sync bytes
-// metric the telemetry sampler records.
+// BoardTraffic reports the cumulative exchange-board sync body bytes
+// moved each way — the board-sync bytes metric the telemetry sampler
+// records.
 func (c *Coordinator) BoardTraffic() (rx, tx int64) {
-	return c.boards.traffic()
+	return c.boards.mRxBytes.Load(), c.boards.mTxBytes.Load()
 }
 
-// BoardHTTPSyncs reports how many per-tick board POSTs the hub has
-// served. With streaming negotiated fleet-wide it stays zero — the
-// invariant the streaming exchange test asserts.
+// BoardHTTPSyncs reports how many board sync round trips the hub has
+// served.
 func (c *Coordinator) BoardHTTPSyncs() int64 {
 	return c.boards.mHTTPSyncs.Load()
 }
@@ -567,7 +553,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 	// The board lives exactly as long as the job — run() waits for all
 	// shard responses (including recovery rounds) before releasing it,
 	// so no shard ever syncs into a reassigned board.
-	var boardURL, boardStream, boardJob string
+	var boardURL string
 	if job.Exchange.Enabled {
 		// The probe instance lets the board server verify every publish
 		// against the actual problem (see boardHub.handleSync); building
@@ -576,25 +562,12 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		if err != nil {
 			return multiwalk.Result{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-		boardJob = fmt.Sprintf("job%06d", jobID)
-		url, _, releaseBoard, err := c.boards.open(boardJob, probe)
+		url, _, releaseBoard, err := c.boards.open(fmt.Sprintf("job%06d", jobID), probe)
 		if err != nil {
 			return multiwalk.Result{}, err
 		}
 		defer releaseBoard()
 		boardURL = url
-		if c.stream {
-			// Streaming fleets also get the hub's persistent-frame
-			// address; stream-capable workers replace their POST loops
-			// with it, others ignore the field. The HTTP URL stays in
-			// the request as the in-run fallback path.
-			boardStream, err = c.boards.ensureStream()
-			if err != nil {
-				return multiwalk.Result{}, err
-			}
-		} else {
-			boardJob = ""
-		}
 	}
 
 	// Pre-cancelled caller: don't contact the fleet at all — report
@@ -639,18 +612,16 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		for _, p := range plans {
 			c.cancelShards(p, -1)
 		}
-		time.AfterFunc(cancelGrace, hardCancel)
+		armGrace(reqCtx, hardCancel)
 	})
 	defer stopNotify()
 
 	params := shardParams{
-		engine:      engineSpec,
-		portfolio:   portfolio,
-		exchange:    exchangeSpec,
-		boardURL:    boardURL,
-		boardStream: boardStream,
-		boardJob:    boardJob,
-		deadline:    deadlineMS(ctx),
+		engine:    engineSpec,
+		portfolio: portfolio,
+		exchange:  exchangeSpec,
+		boardURL:  boardURL,
+		deadline:  deadlineMS(ctx),
 	}
 
 	// Straggler speculation needs the progress feed: stamp the report
@@ -779,13 +750,11 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 // shardParams bundles the per-job request fields shared by every shard
 // dispatch (initial plan and recovery rounds alike).
 type shardParams struct {
-	engine      EngineSpec
-	portfolio   []PortfolioSpec
-	exchange    ExchangeSpec
-	boardURL    string
-	boardStream string
-	boardJob    string
-	deadline    int64
+	engine    EngineSpec
+	portfolio []PortfolioSpec
+	exchange  ExchangeSpec
+	boardURL  string
+	deadline  int64
 	// Progress feed endpoint for straggler speculation; empty when the
 	// job does not speculate. progressBase is the hub's HTTP base URL
 	// (each shard's report route is derived from its run id).
@@ -813,8 +782,6 @@ func shardRequest(mode string, job *JobSpec, a *assignment, p *shardParams) RunR
 		DeadlineMS:   p.deadline,
 		Exchange:     p.exchange,
 		Board:        p.boardURL,
-		BoardStream:  p.boardStream,
-		BoardJob:     p.boardJob,
 	}
 	if p.progressBase != "" {
 		req.ProgressURL = p.progressBase + "/v1/runs/" + a.runID + "/progress"
@@ -863,7 +830,7 @@ func (c *Coordinator) dispatch(ctx context.Context, mode string, job JobSpec, pl
 				// job forever.
 				solvedOnce.Do(func() {
 					c.cancelShards(plan, i)
-					time.AfterFunc(cancelGrace, hardCancel)
+					armGrace(ctx, hardCancel)
 				})
 			}
 		}(i)
@@ -1125,6 +1092,16 @@ func (c *Coordinator) runShard(ctx context.Context, a *assignment, reqBody RunRe
 // cancel RPCs, for workers to flush their partial statistics before it
 // severs the connections.
 const cancelGrace = 30 * time.Second
+
+// armGrace schedules hardCancel, the cancel of the job's detached
+// shard-request context ctx, for cancelGrace from now, and stops that
+// timer as soon as ctx ends. Run's deferred hard cancel ends ctx on
+// return, so a finished job's context chain is not kept reachable by
+// the timer for the rest of the grace period.
+func armGrace(ctx context.Context, hardCancel context.CancelFunc) {
+	t := time.AfterFunc(cancelGrace, hardCancel)
+	context.AfterFunc(ctx, func() { t.Stop() })
+}
 
 // cancelShards delivers best-effort cancel RPCs to every shard except
 // skip (pass -1 to cancel all). A bounded background context — not the

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -542,5 +543,60 @@ func TestDistributedFDProblem(t *testing.T) {
 	}
 	if err := core.ValidateFDConfig(probe.(core.FDProblem), exch.Solution); err != nil {
 		t.Fatalf("fleet solution outside domains: %v", err)
+	}
+}
+
+// jobMarker is a context value whose finalizer reports that the job's
+// context chain has become unreachable. It is larger than 16 bytes so
+// the runtime's tiny allocator cannot batch it with other objects and
+// delay the finalizer indefinitely.
+type jobMarker struct{ _ [64]byte }
+
+type jobMarkerKey struct{}
+
+// TestRunReleasesJobContextAfterCancel: once Run returns, nothing may
+// pin the caller's context. The hard-cancel backstop armed by an
+// external cancel (cancelGrace, 30s) used to keep the whole context
+// chain — and everything hanging off it — reachable for the rest of
+// the grace period after the job ended.
+func TestRunReleasesJobContextAfterCancel(t *testing.T) {
+	f := newFleet(t, 1, 1)
+	engine := tunedEngine(t, "costas", 18)
+	engine.MaxRuns = 0 // unlimited restarts: only the context ends it
+	engine.CheckEvery = 16
+	released := make(chan struct{})
+
+	func() {
+		m := &jobMarker{}
+		runtime.SetFinalizer(m, func(*jobMarker) { close(released) })
+		ctx, cancel := context.WithCancel(context.WithValue(context.Background(), jobMarkerKey{}, m))
+		defer cancel()
+		go func() {
+			// Cancel once both shards hold their worker slots, so the
+			// cancel lands mid-run and arms the grace backstop.
+			for f.workers[0].Busy() == 0 || f.workers[1].Busy() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+		}()
+		res, err := f.coord.Run(ctx, JobSpec{Problem: "costas", Size: 18, Walkers: 2, Seed: 5, Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Truncated {
+			t.Fatalf("cancelled run: want Truncated, got %+v", res)
+		}
+	}()
+
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-released:
+			return
+		case <-deadline:
+			t.Fatal("job context still reachable 10s after Run returned")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

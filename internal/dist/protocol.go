@@ -129,16 +129,6 @@ type RunRequest struct {
 	// (combined publish-and-fetch, POST BoardSync). Required when
 	// Exchange is enabled; every shard of one job receives the same URL.
 	Board string `json:"board,omitempty"`
-	// BoardStream is the TCP address of the coordinator's streaming
-	// board hub (internal/wire frames). Optional: a stream-capable
-	// worker replaces the periodic Board POST loop with a persistent
-	// multiplexed connection carrying deltas both ways, and falls back
-	// to Board over HTTP if the stream dies. Empty keeps the HTTP path.
-	BoardStream string `json:"board_stream,omitempty"`
-	// BoardJob is the hub-side job key BoardStream subscriptions and
-	// publishes are tagged with (frames multiplex several jobs over one
-	// worker connection). Required iff BoardStream is set.
-	BoardJob string `json:"board_job,omitempty"`
 	// ProgressURL, when set, asks the worker to report the shard's
 	// progress (iteration counts) periodically so the coordinator's
 	// straggler detector can compare shards: the worker POSTs a
@@ -352,12 +342,6 @@ func (req *RunRequest) Validate() error {
 	}
 	if len(req.Board) > maxBoardURL {
 		return fmt.Errorf("%w: board URL of %d bytes exceeds %d", ErrBadRequest, len(req.Board), maxBoardURL)
-	}
-	if len(req.BoardStream) > maxBoardURL || len(req.BoardJob) > maxBoardURL {
-		return fmt.Errorf("%w: board stream address or job key exceeds %d bytes", ErrBadRequest, maxBoardURL)
-	}
-	if (req.BoardStream == "") != (req.BoardJob == "") {
-		return fmt.Errorf("%w: board_stream and board_job must be set together", ErrBadRequest)
 	}
 	if len(req.ProgressURL) > maxBoardURL {
 		return fmt.Errorf("%w: progress URL exceeds %d bytes", ErrBadRequest, maxBoardURL)

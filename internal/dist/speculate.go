@@ -394,7 +394,7 @@ func (c *Coordinator) dispatchSpeculative(ctx context.Context, job JobSpec, plan
 							go c.cancelRun(o)
 						}
 					}
-					time.AfterFunc(cancelGrace, hardCancel)
+					armGrace(ctx, hardCancel)
 				})
 			}
 			resolvedWG.Done()

@@ -33,11 +33,6 @@ type WorkerConfig struct {
 	// per-tick sync cadence against one coordinator host (each sync is
 	// bounded by its own timeout, so no global one is set).
 	BoardClient *http.Client
-	// Stream enables the worker side of the board stream: exchange
-	// runs whose request carries a BoardStream address attach to the
-	// coordinator's persistent board stream instead of running the
-	// periodic POST loop.
-	Stream bool
 	// Telemetry, when non-nil, receives periodic FTDC-style samples:
 	// worker gauges plus per-walker iteration and cost series for
 	// every active run. The caller owns the recorder's sink.
@@ -75,7 +70,6 @@ type Worker struct {
 	slots       int
 	boardSync   time.Duration
 	boardClient *http.Client
-	streams     *streamPool // nil unless WorkerConfig.Stream
 	telem       *telemetry.Recorder
 	telemEvery  time.Duration
 
@@ -127,9 +121,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		runs:        make(map[string]context.CancelFunc),
 		telemRuns:   make(map[string]*runTelem),
 	}
-	if cfg.Stream {
-		wk.streams = newStreamPool()
-	}
 	if wk.telem != nil {
 		go wk.sampleTelemetry()
 	}
@@ -155,9 +146,6 @@ func (wk *Worker) Close() {
 	wk.mu.Unlock()
 	wk.cancel()
 	wk.wg.Wait()
-	if wk.streams != nil {
-		wk.streams.close()
-	}
 }
 
 // sampleTelemetry is the worker's FTDC sampler: one row per interval
@@ -190,13 +178,6 @@ func (wk *Worker) sampleTelemetry() {
 				telemetry.Metric{Name: "runs_total", Value: wk.mRuns.Load()},
 				telemetry.Metric{Name: "slots_busy", Value: int64(busy)},
 			)
-			if wk.streams != nil {
-				rx, tx := wk.streams.traffic()
-				metrics = append(metrics,
-					telemetry.Metric{Name: "board_stream_rx_bytes", Value: rx},
-					telemetry.Metric{Name: "board_stream_tx_bytes", Value: tx},
-				)
-			}
 			sort.Slice(metrics, func(i, j int) bool { return metrics[i].Name < metrics[j].Name })
 			_ = wk.telem.Record(now, metrics)
 		}
@@ -342,16 +323,6 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 			period = wk.boardSync
 		}
 		board = newRemoteBoard(req.Board, wk.boardClient, period)
-		if wk.streams != nil && req.BoardStream != "" {
-			// Streaming board sync, negotiated per run: attach the
-			// cache to the persistent hub connection. A failed dial is
-			// not an error — the run silently keeps the HTTP loop, the
-			// scheme's designed degradation.
-			if sess, serr := wk.streams.join(req.BoardStream, req.BoardJob, board); serr == nil {
-				board.sess = sess
-				board.job = req.BoardJob
-			}
-		}
 		board.start(runCtx)
 		defer board.stop() // idempotent backstop for early returns
 		opts.Board = board
@@ -480,10 +451,6 @@ func (wk *Worker) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"active_runs":   active,
 		"runs_total":    wk.mRuns.Load(),
 		"cancels_total": wk.mCancelled.Load(),
-		// stream reports whether this worker will attach to a board
-		// stream when offered one (diagnostic; the coordinator reads
-		// only slots).
-		"stream": wk.streams != nil,
 	})
 }
 

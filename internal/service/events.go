@@ -18,14 +18,16 @@ import "fmt"
 // non-blocking into a bounded buffer). Only the channel close is
 // reliable, so consumers that need the final state re-fetch it with
 // Get when the channel closes without a terminal event.
+//
+// The JSON form is one line of GET /v1/jobs/{id}/events.
 type ProgressEvent struct {
-	JobID      string
-	State      State
-	Walker     int // -1 for lifecycle and terminal events
-	Iterations int64
-	Cost       int
-	Terminal   bool
-	Job        *Job // final snapshot, set only on terminal events
+	JobID      string `json:"job_id"`
+	State      State  `json:"state"`
+	Walker     int    `json:"walker"` // -1 for lifecycle and terminal events
+	Iterations int64  `json:"iterations"`
+	Cost       int    `json:"cost"`
+	Terminal   bool   `json:"terminal"`
+	Job        *Job   `json:"job,omitempty"` // final snapshot, set only on terminal events
 }
 
 // watchBuffer is each subscriber channel's capacity. Milestones are
@@ -38,8 +40,8 @@ const watchBuffer = 64
 // buffer permitting, is the last value before the close); the returned
 // cancel function detaches early and is idempotent. Watching an
 // already-finished job yields its terminal event immediately. This is
-// the seam the streaming API (StreamServer) serves job progress from —
-// replacing GET polling — but it is equally usable in process.
+// the seam GET /v1/jobs/{id}/events serves job progress from, and it
+// is equally usable in process.
 func (s *Scheduler) Watch(id string) (<-chan ProgressEvent, func(), error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]

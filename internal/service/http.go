@@ -18,6 +18,7 @@ import (
 //
 //	POST /v1/solve              submit a job; {"wait": true} blocks for the result
 //	GET  /v1/jobs/{id}          job status / result
+//	GET  /v1/jobs/{id}/events   live progress as newline-delimited JSON
 //	POST /v1/jobs/{id}/cancel   cancel a queued or running job
 //	GET  /v1/problems           registered benchmarks and strategies
 //	GET  /healthz               liveness + pool headroom
@@ -69,6 +70,9 @@ func NewHandler(s *Scheduler) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, job)
 	})
+	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		serveEvents(w, r, s)
+	})
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
 		job, err := s.Cancel(r.PathValue("id"))
 		if err != nil {
@@ -104,12 +108,6 @@ func NewHandler(s *Scheduler) http.Handler {
 			"slots_busy":  st.SlotsBusy,
 			"queue_depth": st.QueueDepth,
 		}
-		if addr := s.StreamAddr(); addr != "" {
-			// Streaming transport discovery: clients that see this dial
-			// the persistent progress stream instead of polling GET
-			// /v1/jobs/{id}.
-			health["stream_addr"] = addr
-		}
 		writeJSON(w, code, health)
 	})
 	// Served through expvar.Func so the payload is exactly what a
@@ -122,6 +120,48 @@ func NewHandler(s *Scheduler) http.Handler {
 		fmt.Fprintln(w, statsVar.String())
 	})
 	return mux
+}
+
+// serveEvents streams one job's Scheduler.Watch flow as
+// newline-delimited JSON: one ProgressEvent object per line, flushed
+// as it happens, ending with the terminal event, whose "job" field is
+// the same Job that GET /v1/jobs/{id} returns. An unknown job gets
+// 404 before any line is written. Events are best-effort, so when the
+// watch channel closes without its terminal event the line is rebuilt
+// from the job's final snapshot; a response that ends without a
+// terminal line (job evicted, client or server gone) means "fetch the
+// job instead".
+func serveEvents(w http.ResponseWriter, r *http.Request, s *Scheduler) {
+	id := r.PathValue("id")
+	ch, cancel, err := s.Watch(id)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	defer cancel()
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	rc := http.NewResponseController(w)
+	enc := json.NewEncoder(w)
+	send := func(ev ProgressEvent) bool {
+		return enc.Encode(ev) == nil && rc.Flush() == nil
+	}
+	for {
+		select {
+		case <-r.Context().Done():
+			return
+		case ev, ok := <-ch:
+			if !ok {
+				if job, err := s.Get(id); err == nil && job.State.Terminal() {
+					send(terminalEvent(id, job))
+				}
+				return
+			}
+			if !send(ev) || ev.Terminal {
+				return
+			}
+		}
+	}
 }
 
 // solveBody is the POST /v1/solve payload: a Request plus the

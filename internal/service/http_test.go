@@ -92,22 +92,21 @@ func TestHTTPSolveAsyncAndPoll(t *testing.T) {
 		t.Fatalf("Location = %q", loc)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var cur Job
-		if resp := getJSON(t, srv.URL+"/v1/jobs/"+job.ID, &cur); resp.StatusCode != http.StatusOK {
-			t.Fatalf("poll status %d", resp.StatusCode)
-		}
-		if cur.State.Terminal() {
-			if cur.State != StateSolved {
-				t.Fatalf("job finished %s: %+v", cur.State, cur)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never finished")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Await the terminal state on the events route, then check the
+	// status record agrees with it.
+	ev, err := awaitEvents(srv.Client(), srv.URL, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Job == nil || ev.Job.State != StateSolved {
+		t.Fatalf("job finished %+v", ev.Job)
+	}
+	var cur Job
+	if resp := getJSON(t, srv.URL+"/v1/jobs/"+job.ID, &cur); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if cur.State != StateSolved || cur.Result == nil || cur.Result.Winner != ev.Job.Result.Winner {
+		t.Fatalf("GET record %+v disagrees with terminal event %+v", cur, ev.Job)
 	}
 }
 

@@ -217,12 +217,6 @@ type Scheduler struct {
 	// typed rejections (no calibration / unsatisfiable target).
 	mAutoSized    atomic.Int64
 	mAutoRejected atomic.Int64
-
-	// streamAddr is the advertised job-progress stream endpoint (set by
-	// the serving binary when a StreamServer is attached); "" when the
-	// service is HTTP-only. Exposed through /healthz so clients can
-	// discover and prefer the streaming transport.
-	streamAddr atomic.Value // string
 }
 
 // New starts a scheduler with the given configuration.
@@ -821,19 +815,6 @@ func (s *Scheduler) progressFor(j *job) func(int, int64, int) {
 			j.emit(ProgressEvent{JobID: j.id, State: StateRunning, Walker: w, Iterations: iter, Cost: cost})
 		}
 	}
-}
-
-// SetStreamAddr records the advertised streaming endpoint for
-// discovery via /healthz ("" clears it). The serving binary calls this
-// after attaching a StreamServer.
-func (s *Scheduler) SetStreamAddr(addr string) { s.streamAddr.Store(addr) }
-
-// StreamAddr returns the advertised streaming endpoint, or "".
-func (s *Scheduler) StreamAddr() string {
-	if v, ok := s.streamAddr.Load().(string); ok {
-		return v
-	}
-	return ""
 }
 
 // Stats is the point-in-time metrics snapshot served by /metrics.

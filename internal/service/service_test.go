@@ -30,11 +30,20 @@ func newTestScheduler(t *testing.T, cfg Config) *Scheduler {
 	return s
 }
 
-// waitForState polls until the job reaches the wanted state.
+// waitForState blocks on the job's event flow (Scheduler.Watch) until
+// the job reaches the wanted state. It subscribes before reading the
+// state, so a transition in between still arrives as an event; and it
+// re-reads the state on every event and on the channel's close, so a
+// dropped event cannot strand it.
 func waitForState(t *testing.T, s *Scheduler, id string, want State) Job {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
+	ch, cancel, err := s.Watch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	timeout := time.After(10 * time.Second)
+	for {
 		job, err := s.Get(id)
 		if err != nil {
 			t.Fatal(err)
@@ -42,11 +51,19 @@ func waitForState(t *testing.T, s *Scheduler, id string, want State) Job {
 		if job.State == want {
 			return job
 		}
-		time.Sleep(2 * time.Millisecond)
+		if job.State.Terminal() {
+			t.Fatalf("job %s ended %s, never reached %s: %+v", id, job.State, want, job)
+		}
+		select {
+		case _, ok := <-ch:
+			if !ok {
+				// Closed: the job is terminal, and the next Get says how.
+				ch = nil
+			}
+		case <-timeout:
+			t.Fatalf("job %s never reached %s (last: %+v)", id, want, job)
+		}
 	}
-	job, _ := s.Get(id)
-	t.Fatalf("job %s never reached %s (last: %+v)", id, want, job)
-	return Job{}
 }
 
 func TestSubmitWaitSolves(t *testing.T) {
@@ -275,7 +292,9 @@ func TestCloseCancelsQueuedAndRunning(t *testing.T) {
 		}
 		ids = append(ids, job.ID)
 	}
-	time.Sleep(10 * time.Millisecond) // let the dispatcher start a couple
+	// Two slots: the first two jobs run, the rest stay queued.
+	waitForState(t, s, ids[0], StateRunning)
+	waitForState(t, s, ids[1], StateRunning)
 	s.Close()
 	for _, id := range ids {
 		job, err := s.Get(id)

@@ -15,8 +15,8 @@
 //
 // # Layout
 //
-// The file is a sequence of frames sharing internal/wire's framing
-// discipline (uvarint length prefix counting the kind byte):
+// The file is a sequence of length-prefixed frames (uvarint length
+// prefix counting the kind byte):
 //
 //	frame  := uvarint(length) byte(kind) payload
 //	schema := uvarint(n) n × (uvarint(len) name-bytes)
