@@ -29,8 +29,10 @@ import (
 // Contract:
 //   - Domain returns the current domain of variable i: sorted ascending,
 //     distinct, non-empty (after reduction), owned by the problem.
-//     Callers must not mutate or retain it. Domains never grow during a
-//     Solve call.
+//     The slice is read-only: problems may share one domain slice
+//     across instances (and so across concurrent walkers), so neither
+//     callers nor the problem may write to it. Callers must not retain
+//     it. Domains never grow during a Solve call.
 //   - CostIfAssign returns the global cost Cost would report after
 //     setting cfg[i] = v, given the current cost; v == cfg[i] must
 //     return cost unchanged. Like CostIfSwap it must not mutate
@@ -72,7 +74,9 @@ type AssignEvaluator interface {
 // before any iteration; an error wrapping domain.ErrUnsatisfiable
 // proves the instance has no solution and aborts the search with that
 // typed error. Reduction must be sound (never remove a value some
-// solution uses) and idempotent.
+// solution uses) and idempotent. It may serve a memoized result:
+// instances of one model may share a single reduction, adopting its
+// reduced domains (read-only, per the FDProblem contract) or its error.
 type DomainReducer interface {
 	ReduceDomains() error
 }

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // ErrUnsatisfiable reports that domain reduction proved the model has
@@ -206,28 +207,19 @@ type Distinct struct {
 
 // Reduce implements Propagator.
 func (c Distinct) Reduce(doms []Domain) (bool, error) {
+	sc := distinctPool.Get().(*distinctScratch)
+	defer distinctPool.Put(sc)
 	// Deduplicate the group so repeated registration of a variable
 	// neither miscounts capacity nor empties its own domain.
-	group := make([]int, 0, len(c.Vars))
-	seen := make(map[int]bool, len(c.Vars))
-	for _, vi := range c.Vars {
-		if !seen[vi] {
-			seen[vi] = true
-			group = append(group, vi)
-		}
-	}
+	group := sc.dedupe(c.Vars, len(doms))
 	// Pigeonhole capacity: |group| distinct values must exist.
-	union := make(map[int]struct{})
 	for _, vi := range group {
 		if len(doms[vi]) == 0 {
 			return false, fmt.Errorf("variable %d has an empty domain: %w", vi, ErrUnsatisfiable)
 		}
-		for _, v := range doms[vi] {
-			union[v] = struct{}{}
-		}
 	}
-	if len(group) > len(union) {
-		return false, fmt.Errorf("all-different over %d variables with only %d values: %w", len(group), len(union), ErrUnsatisfiable)
+	if u := sc.unionSize(doms, group, len(group)); u < len(group) {
+		return false, fmt.Errorf("all-different over %d variables with only %d values: %w", len(group), u, ErrUnsatisfiable)
 	}
 	changed := false
 	for _, vi := range group {
@@ -251,4 +243,92 @@ func (c Distinct) Reduce(doms []Domain) (bool, error) {
 		}
 	}
 	return changed, nil
+}
+
+// distinctScratch is the reusable working memory of Distinct.Reduce,
+// pooled so the reduction pass allocates nothing per call.
+type distinctScratch struct {
+	stamp []uint32 // stamp[vi] == epoch: vi is already in the group
+	epoch uint32
+	group []int
+	bits  []uint64 // value bitset of the union count
+	vals  []int    // sorted fallback for value ranges too wide to bitset
+}
+
+var distinctPool = sync.Pool{New: func() any { return new(distinctScratch) }}
+
+// dedupe returns vars without repeats, first occurrences in order. The
+// result aliases the scratch.
+func (sc *distinctScratch) dedupe(vars []int, nvars int) []int {
+	if len(sc.stamp) < nvars {
+		sc.stamp = make([]uint32, nvars)
+		sc.epoch = 0
+	}
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.stamp)
+		sc.epoch = 1
+	}
+	sc.group = sc.group[:0]
+	for _, vi := range vars {
+		if sc.stamp[vi] != sc.epoch {
+			sc.stamp[vi] = sc.epoch
+			sc.group = append(sc.group, vi)
+		}
+	}
+	return sc.group
+}
+
+// unionSize counts the distinct values across the group's (non-empty,
+// sorted) domains, stopping early once it reaches need: the pigeonhole
+// check only asks whether need values exist. Values within a range no
+// wider than 64 per member value are counted in a bitset; wider,
+// sparse ranges are sorted.
+func (sc *distinctScratch) unionSize(doms []Domain, group []int, need int) int {
+	if need == 0 {
+		return 0
+	}
+	lo, hi, total := doms[group[0]].Min(), doms[group[0]].Max(), 0
+	for _, vi := range group {
+		d := doms[vi]
+		lo, hi = min(lo, d.Min()), max(hi, d.Max())
+		total += len(d)
+	}
+	// The span is computed in uint64 so extreme values cannot overflow.
+	if span := uint64(hi) - uint64(lo); span/64 <= uint64(total) {
+		words := int(span/64) + 1
+		if cap(sc.bits) < words {
+			sc.bits = make([]uint64, words)
+		}
+		bits := sc.bits[:words]
+		clear(bits)
+		count := 0
+		for _, vi := range group {
+			for _, v := range doms[vi] {
+				off := uint64(v) - uint64(lo)
+				if w, m := off/64, uint64(1)<<(off%64); bits[w]&m == 0 {
+					bits[w] |= m
+					if count++; count >= need {
+						return count
+					}
+				}
+			}
+		}
+		return count
+	}
+	vals := sc.vals[:0]
+	for _, vi := range group {
+		vals = append(vals, doms[vi]...)
+	}
+	sc.vals = vals
+	sort.Ints(vals)
+	count := 0
+	for i, v := range vals {
+		if i == 0 || v != vals[i-1] {
+			if count++; count >= need {
+				return count
+			}
+		}
+	}
+	return count
 }

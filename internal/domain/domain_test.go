@@ -2,6 +2,8 @@ package domain
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -104,6 +106,56 @@ func TestDistinctDuplicateVars(t *testing.T) {
 	}
 	if len(doms[0]) != 1 {
 		t.Errorf("x domain = %v, want [1]", doms[0])
+	}
+}
+
+// TestDistinctUnionPaths drives the pigeonhole count down both of its
+// paths — the bitset for dense value ranges and the sorted fallback for
+// sparse, extreme ones — and checks the verdict and the reported count
+// against a brute-force union.
+func TestDistinctUnionPaths(t *testing.T) {
+	const huge = int(^uint(0) >> 1)
+	cases := []struct {
+		name  string
+		doms  []Domain
+		unsat bool
+	}{
+		{"dense fits", []Domain{Range(0, 2), Range(1, 3), Range(2, 4)}, false},
+		{"dense short", []Domain{New(5, 6), New(5, 6), New(6, 5)}, true},
+		{"sparse fits", []Domain{New(-huge, 0), New(0, huge), New(huge)}, false},
+		{"sparse short", []Domain{New(-huge-1, huge), New(-huge-1, huge), New(huge, -huge-1)}, true},
+		{"negative dense", []Domain{Range(-70, -68), Range(-70, -68), Range(-70, -68), Range(-70, -68)}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			union := map[int]bool{}
+			vars := make([]int, len(tc.doms))
+			for i, d := range tc.doms {
+				vars[i] = i
+				for _, v := range d {
+					union[v] = true
+				}
+			}
+			_, err := Distinct{Vars: vars}.Reduce(tc.doms)
+			if got := errors.Is(err, ErrUnsatisfiable); got != tc.unsat {
+				t.Fatalf("unsatisfiable = %v (%v), want %v", got, err, tc.unsat)
+			}
+			if tc.unsat {
+				want := fmt.Sprintf("all-different over %d variables with only %d values", len(vars), len(union))
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not report %q", err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestDistinctEmptyGroup: an all-different over no variables is
+// trivially satisfied and changes nothing.
+func TestDistinctEmptyGroup(t *testing.T) {
+	doms := []Domain{Range(0, 1)}
+	if ch, err := (Distinct{}).Reduce(doms); ch || err != nil {
+		t.Fatalf("Reduce = (%v, %v), want (false, nil)", ch, err)
 	}
 }
 

@@ -3,6 +3,7 @@ package problems
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -236,23 +237,28 @@ func TestTimetableParams(t *testing.T) {
 // TestTimetableUnsatisfiable pins the empty-domain proof: one room and
 // two slots cannot host three sessions sharing that room, and the
 // pigeonhole check in the all-different reduction proves it before
-// search. The typed error must surface through core.Solve.
+// search. The reduction is memoized per template, so the typed error
+// must come back on every call from every instance, leave the
+// generated domains as they were, and surface through core.Solve.
 func TestTimetableUnsatisfiable(t *testing.T) {
-	p, err := NewTimetable(3, map[string]int{"rooms": 1, "slots": 2, "teachers": 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ReduceDomains(); !errors.Is(err, domain.ErrUnsatisfiable) {
-		t.Fatalf("ReduceDomains = %v, want ErrUnsatisfiable", err)
-	}
-
-	p2, err := NewTimetable(3, map[string]int{"rooms": 1, "slots": 2, "teachers": 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = core.Solve(context.Background(), p2, core.DefaultOptions(p2.Size()))
-	if !errors.Is(err, domain.ErrUnsatisfiable) {
-		t.Fatalf("Solve = %v, want ErrUnsatisfiable", err)
+	params := map[string]int{"rooms": 1, "slots": 2, "teachers": 3}
+	for inst := 0; inst < 2; inst++ {
+		p, err := NewTimetable(3, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := domainsOf(p)
+		for call := 0; call < 3; call++ {
+			if err := p.ReduceDomains(); !errors.Is(err, domain.ErrUnsatisfiable) {
+				t.Fatalf("instance %d call %d: ReduceDomains = %v, want ErrUnsatisfiable", inst, call, err)
+			}
+		}
+		if !slices.EqualFunc(domainsOf(p), before, slices.Equal) {
+			t.Fatalf("instance %d: a failed reduction changed the domains", inst)
+		}
+		if _, err := core.Solve(context.Background(), p, core.DefaultOptions(p.Size())); !errors.Is(err, domain.ErrUnsatisfiable) {
+			t.Fatalf("instance %d: Solve = %v, want ErrUnsatisfiable", inst, err)
+		}
 	}
 }
 

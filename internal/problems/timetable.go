@@ -2,6 +2,7 @@ package problems
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/domain"
@@ -45,18 +46,19 @@ func init() {
 // is how the unsatisfiable configurations used by the reduction tests
 // are built (e.g. size 3 with rooms=1, slots=2).
 type Timetable struct {
-	n     int
-	slots int
-	rooms int
-	teach int
+	timetableKey
 
-	idA []int // idA[i] = resource id of session i's room
-	idB []int // idB[i] = resource id of session i's teacher
+	// Read-only, shared with every instance of the same tuple through
+	// tpl (see timetableTemplate).
+	idA         []int     // idA[i] = resource id of session i's room
+	idB         []int     // idB[i] = resource id of session i's teacher
+	resSessions [][]int32 // sessions using each resource
+	domains     [][]int   // sorted per-session slot domains (generated, then reduced)
+	tpl         *timetableTemplate
 
-	occ         []int     // occ[res*slots+s] = sessions of resource res in slot s
-	resSessions [][]int32 // static: sessions using each resource
-	domains     [][]int   // sorted per-session slot domains
-	errVec      []int     // errVec[i] = double-bookings session i participates in
+	// Mutable search state, private to the instance.
+	occ    []int // occ[res*slots+s] = sessions of resource res in slot s
+	errVec []int // errVec[i] = double-bookings session i participates in
 }
 
 // timetableParams are the recognized params keys.
@@ -65,16 +67,35 @@ var timetableParams = map[string]bool{"slots": true, "rooms": true, "teachers": 
 // NewTimetable builds an n-session instance. Recognized params:
 // "slots", "rooms", "teachers" (each >= 1); unknown keys or
 // out-of-range values return an error wrapping ErrBadParams.
+//
+// The instance's read-only structure comes from a per-process template
+// cache (see timetableTemplate), so building a tuple the process has
+// seen before costs only the mutable state.
 func NewTimetable(n int, params map[string]int) (*Timetable, error) {
+	k, err := timetableKeyOf(n, params)
+	if err != nil {
+		return nil, err
+	}
+	return k.instance(cachedTimetableTemplate(k)), nil
+}
+
+// timetableKey is the tuple a timetable instance is generated from.
+type timetableKey struct {
+	n, slots, rooms, teach int
+}
+
+// timetableKeyOf validates the size and params and resolves the
+// derived defaults.
+func timetableKeyOf(n int, params map[string]int) (timetableKey, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("timetable: size must be >= 1, got %d", n)
+		return timetableKey{}, fmt.Errorf("timetable: size must be >= 1, got %d", n)
 	}
 	for k, v := range params {
 		if !timetableParams[k] {
-			return nil, fmt.Errorf("%w: timetable has no parameter %q (known: rooms, slots, teachers)", ErrBadParams, k)
+			return timetableKey{}, fmt.Errorf("%w: timetable has no parameter %q (known: rooms, slots, teachers)", ErrBadParams, k)
 		}
 		if v < 1 {
-			return nil, fmt.Errorf("%w: timetable parameter %q must be >= 1, got %d", ErrBadParams, k, v)
+			return timetableKey{}, fmt.Errorf("%w: timetable parameter %q must be >= 1, got %d", ErrBadParams, k, v)
 		}
 	}
 	slots := (n + 3) / 4
@@ -96,22 +117,100 @@ func NewTimetable(n int, params map[string]int) (*Timetable, error) {
 	if v, ok := params["teachers"]; ok {
 		teach = v
 	}
+	return timetableKey{n: n, slots: slots, rooms: rooms, teach: teach}, nil
+}
 
-	t := &Timetable{
-		n:           n,
-		slots:       slots,
-		rooms:       rooms,
-		teach:       teach,
+// instance returns a fresh instance over tpl: shared read-only
+// structure, private occupancy table and error vector.
+func (k timetableKey) instance(tpl *timetableTemplate) *Timetable {
+	return &Timetable{
+		timetableKey: k,
+		idA:          tpl.idA,
+		idB:          tpl.idB,
+		resSessions:  tpl.resSessions,
+		domains:      tpl.domains,
+		tpl:          tpl,
+		occ:          make([]int, (k.rooms+k.teach)*k.slots),
+		errVec:       make([]int, k.n),
+	}
+}
+
+// timetableTemplate is the immutable part of a timetable instance:
+// everything generated from the tuple, plus the memoized result of the
+// domain-reduction pass. Instances share it and never write to it.
+type timetableTemplate struct {
+	idA, idB    []int
+	resSessions [][]int32
+	domains     [][]int // generated domains, subslices of one array
+	values      int     // total generated domain values
+
+	reduceOnce sync.Once
+	reduced    [][]int // reduced domains, published by reduceOnce
+	reduceErr  error   // reduction verdict, published by reduceOnce
+}
+
+// timetableCacheBudget bounds the generated domain values held by all
+// cached templates together (8 MB of values, at most as much again in
+// reduced copies). A tuple over the whole budget is built uncached;
+// otherwise the oldest templates are dropped to make room.
+const timetableCacheBudget = 1 << 20
+
+// timetableCache is process-wide: instances are built through the
+// registry (walkers, service admission, dist workers), which carries no
+// handle a narrower cache could hang from.
+var timetableCache struct {
+	mu     sync.Mutex
+	m      map[timetableKey]*timetableTemplate
+	order  []timetableKey // insertion order, oldest first
+	values int
+}
+
+// cachedTimetableTemplate returns the cached template of k, generating
+// and (budget permitting) caching it on a miss. Concurrent misses may
+// each generate; the first to insert wins and the rest adopt it, so
+// every instance of a cached tuple shares one reduction.
+func cachedTimetableTemplate(k timetableKey) *timetableTemplate {
+	c := &timetableCache
+	c.mu.Lock()
+	tpl := c.m[k]
+	c.mu.Unlock()
+	if tpl != nil {
+		return tpl
+	}
+	tpl = k.template()
+	if tpl.values > timetableCacheBudget {
+		return tpl
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if prev := c.m[k]; prev != nil {
+		return prev
+	}
+	if c.m == nil {
+		c.m = make(map[timetableKey]*timetableTemplate)
+	}
+	for c.values+tpl.values > timetableCacheBudget {
+		old := c.order[0]
+		c.order = c.order[1:]
+		c.values -= c.m[old].values
+		delete(c.m, old)
+	}
+	c.m[k] = tpl
+	c.order = append(c.order, k)
+	c.values += tpl.values
+	return tpl
+}
+
+// template generates the instance structure of k. Generation is
+// deterministic: it depends only on the tuple.
+func (k timetableKey) template() *timetableTemplate {
+	n, slots, rooms, teach := k.n, k.slots, k.rooms, k.teach
+	tpl := &timetableTemplate{
 		idA:         make([]int, n),
 		idB:         make([]int, n),
-		occ:         make([]int, (rooms+teach)*slots),
 		resSessions: make([][]int32, rooms+teach),
 		domains:     make([][]int, n),
-		errVec:      make([]int, n),
 	}
-
-	// Deterministic generation: the instance depends only on the
-	// (size, slots, rooms, teachers) tuple.
 	seed := uint64(n)*0x9e3779b97f4a7c15 ^ uint64(slots)*0x85ebca6b ^
 		uint64(rooms)*0xc2b2ae35 ^ uint64(teach)*0x27d4eb2f
 	r := rng.New(seed ^ 0x74696d6574616265)
@@ -119,40 +218,81 @@ func NewTimetable(n int, params map[string]int) (*Timetable, error) {
 	// feasible: the round-robin hidden solution (session i in slot i %
 	// slots) can give every co-scheduled session a distinct room and
 	// teacher.
+	perSlot := (n + slots - 1) / slots
 	feasible := rooms >= perSlot && teach >= perSlot
+	vals := make([]int, 0, n*slots/2+n)
+	ends := make([]int, n)
 	for i := 0; i < n; i++ {
 		s, a := i%slots, i/slots
-		t.idA[i] = a % rooms
-		t.idB[i] = rooms + (a+s)%teach
-		if feasible {
-			// Domains contain the hidden slot plus a random half of the
-			// others; ~1/8 of the sessions are pinned to a singleton.
-			if r.Intn(8) == 0 {
-				t.domains[i] = []int{s}
-			} else {
-				d := make([]int, 0, slots)
-				for v := 0; v < slots; v++ {
-					if v == s || r.Intn(2) == 0 {
-						d = append(d, v)
-					}
-				}
-				t.domains[i] = d
-			}
-		} else {
+		tpl.idA[i] = a % rooms
+		tpl.idB[i] = rooms + (a+s)%teach
+		switch {
+		case !feasible:
 			// Over-committed capacity: full domains, no guarantee — the
 			// shape the reduction pass exists to reject.
-			d := make([]int, slots)
-			for v := range d {
-				d[v] = v
+			for v := 0; v < slots; v++ {
+				vals = append(vals, v)
 			}
-			t.domains[i] = d
+		case r.Intn(8) == 0:
+			// ~1/8 of the sessions are pinned to a singleton...
+			vals = append(vals, s)
+		default:
+			// ...the rest get the hidden slot plus a random half of the
+			// others.
+			for v := 0; v < slots; v++ {
+				if v == s || r.Intn(2) == 0 {
+					vals = append(vals, v)
+				}
+			}
 		}
+		ends[i] = len(vals)
 	}
+	lo := 0
+	for i, hi := range ends {
+		tpl.domains[i] = vals[lo:hi:hi]
+		lo = hi
+	}
+	tpl.values = len(vals)
 	for i := 0; i < n; i++ {
-		t.resSessions[t.idA[i]] = append(t.resSessions[t.idA[i]], int32(i))
-		t.resSessions[t.idB[i]] = append(t.resSessions[t.idB[i]], int32(i))
+		tpl.resSessions[tpl.idA[i]] = append(tpl.resSessions[tpl.idA[i]], int32(i))
+		tpl.resSessions[tpl.idB[i]] = append(tpl.resSessions[tpl.idB[i]], int32(i))
 	}
-	return t, nil
+	return tpl
+}
+
+// reduce runs the domain-reduction pass once per template, on a
+// private copy of the generated domains, and returns its memoized
+// result on every call.
+func (tpl *timetableTemplate) reduce() ([][]int, error) {
+	tpl.reduceOnce.Do(func() {
+		vals := make([]int, 0, tpl.values)
+		doms := make([]domain.Domain, len(tpl.domains))
+		for i, d := range tpl.domains {
+			lo := len(vals)
+			vals = append(vals, d...)
+			doms[i] = vals[lo:len(vals):len(vals)]
+		}
+		props := make([]domain.Propagator, 0, len(tpl.resSessions))
+		for _, group := range tpl.resSessions {
+			if len(group) < 2 {
+				continue
+			}
+			vars := make([]int, len(group))
+			for k, s := range group {
+				vars[k] = int(s)
+			}
+			props = append(props, domain.Distinct{Vars: vars})
+		}
+		if err := domain.Fixpoint(doms, props); err != nil {
+			tpl.reduceErr = fmt.Errorf("timetable: %w", err)
+			return
+		}
+		tpl.reduced = make([][]int, len(doms))
+		for i, d := range doms {
+			tpl.reduced[i] = d
+		}
+	})
+	return tpl.reduced, tpl.reduceErr
 }
 
 var (
@@ -178,28 +318,15 @@ func (t *Timetable) Domain(i int) []int { return t.domains[i] }
 // at most one session per slot), so singleton propagation narrows
 // neighbours of pinned sessions and the pigeonhole check proves
 // over-committed resources unsatisfiable before any iteration runs.
+//
+// The pass runs once per template; every instance of the tuple adopts
+// the memoized reduced domains, or gets the same unsatisfiable error.
 func (t *Timetable) ReduceDomains() error {
-	doms := make([]domain.Domain, t.n)
-	for i, d := range t.domains {
-		doms[i] = d
+	doms, err := t.tpl.reduce()
+	if err != nil {
+		return err
 	}
-	props := make([]domain.Propagator, 0, len(t.resSessions))
-	for _, group := range t.resSessions {
-		if len(group) < 2 {
-			continue
-		}
-		vars := make([]int, len(group))
-		for k, s := range group {
-			vars[k] = int(s)
-		}
-		props = append(props, domain.Distinct{Vars: vars})
-	}
-	if err := domain.Fixpoint(doms, props); err != nil {
-		return fmt.Errorf("timetable: %w", err)
-	}
-	for i := range t.domains {
-		t.domains[i] = doms[i]
-	}
+	t.domains = doms
 	return nil
 }
 
@@ -364,32 +491,22 @@ func (t *Timetable) ErrorsOnVariables(cfg []int, out []int) {
 
 // Verify reports whether cfg is a conflict-free timetable with every
 // session inside its domain, checked independently of the incremental
-// machinery.
+// machinery: one pass over the sessions marks a fresh resource-by-slot
+// table, so it costs O(n + resources*slots).
 func (t *Timetable) Verify(cfg []int) bool {
 	if len(cfg) != t.n {
 		return false
 	}
+	booked := make([]bool, (t.rooms+t.teach)*t.slots)
 	for i, s := range cfg {
-		in := false
-		for _, v := range t.domains[i] {
-			if v == s {
-				in = true
-				break
-			}
-		}
-		if !in {
+		if !domain.Domain(t.domains[i]).Contains(s) {
 			return false
 		}
-	}
-	for i := 0; i < t.n; i++ {
-		for j := i + 1; j < t.n; j++ {
-			if cfg[i] != cfg[j] {
-				continue
-			}
-			if t.idA[i] == t.idA[j] || t.idB[i] == t.idB[j] {
-				return false
-			}
+		a, b := t.idA[i]*t.slots+s, t.idB[i]*t.slots+s
+		if booked[a] || booked[b] {
+			return false
 		}
+		booked[a], booked[b] = true, true
 	}
 	return true
 }

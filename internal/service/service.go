@@ -190,8 +190,9 @@ type Scheduler struct {
 	tenants   map[string]*tenantAcct
 	// pinned is the dispatch candidate waiting for slots to accumulate.
 	// While set, releases flow toward it rather than leaking to narrower
-	// jobs behind it — the no-starvation guarantee for wide jobs. Only a
-	// strictly higher priority class overrides a pin.
+	// jobs behind it — the no-starvation guarantee for wide jobs. A
+	// strictly higher priority class, or a fairer job of the same class
+	// at least as wide, takes the pin over.
 	pinned *job
 	closed bool
 	// nQueued counts admitted-but-not-yet-running jobs; admission
@@ -478,10 +479,11 @@ func (s *Scheduler) Closed() bool {
 // slot pool with the backend (elastic fleets change capacity between
 // rounds), picks a candidate under weighted-fair multi-tenant rules
 // (see pickLocked), and either launches it or pins it while its slot
-// demand accumulates. A pinned wide job blocks later dispatches until
-// it fits — the no-starvation guarantee FIFO used to provide — except
-// that a strictly higher priority class may take the pin over. The
-// cond is broadcast on every queue/slot/capacity/lifecycle change.
+// demand accumulates. A pinned wide job blocks narrower dispatches
+// until it fits — the no-starvation guarantee FIFO used to provide —
+// but a strictly higher priority class, or a fairer job of its class
+// needing at least as many slots, takes the pin over. The cond is
+// broadcast on every queue/slot/capacity/lifecycle change.
 func (s *Scheduler) dispatch() {
 	defer s.wg.Done()
 	s.mu.Lock()
@@ -540,8 +542,11 @@ func (s *Scheduler) dispatch() {
 // skipped (a capped tenant never blocks others); among the rest the
 // highest class wins, and within a class the tenant with the least
 // accrued weighted service — ties keep the earlier arrival. A valid
-// pinned candidate is returned unless a strictly higher class waits.
-// Callers hold s.mu.
+// pin holds back only jobs narrower than itself: it is returned unless
+// the winner is of a strictly higher class, or of the same class and at
+// least as wide (the winner then ranks ahead of the pin, and needing as
+// many slots it cannot slip into the partial gap the pin is
+// accumulating). Callers hold s.mu.
 func (s *Scheduler) pickLocked() *job {
 	pinned := s.pinned
 	if pinned != nil && (!s.inQueueLocked(pinned) || s.quotaBlockedLocked(pinned)) {
@@ -578,10 +583,13 @@ func (s *Scheduler) pickLocked() *job {
 			best, bestT = j, t
 		}
 	}
-	if pinned != nil && (best == nil || best.class >= pinned.class) {
-		return pinned
+	if pinned == nil {
+		return best
 	}
-	return best
+	if best.class < pinned.class || best.class == pinned.class && best.opts.Walkers >= pinned.opts.Walkers {
+		return best
+	}
+	return pinned
 }
 
 // quotaBlockedLocked reports whether dispatching j now would push its

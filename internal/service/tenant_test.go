@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -132,6 +133,70 @@ func TestTenantFairnessNoStarvation(t *testing.T) {
 	b.finish(3)
 	expectStart(t, b, 4)
 	b.finish(4)
+}
+
+// waitPinned blocks until the dispatcher has pinned the job tagged with
+// seed: it has woken, found no free slot and is waiting for one.
+func waitPinned(t *testing.T, s *Scheduler, seed uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		pinned := s.pinned != nil && s.pinned.opts.Seed == seed
+		s.mu.Unlock()
+		if pinned {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("seed %d was never pinned", seed)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestTenantFairnessAfterPin is TestTenantFairnessNoStarvation with the
+// dispatcher forced to wake between the flood and the newcomer: it has
+// already pinned tenant a's next job when tenant b's arrives. The pin
+// must not outrank b's lower charge — b's job is as wide, so it takes
+// the pin over.
+func TestTenantFairnessAfterPin(t *testing.T) {
+	s, b := newGateScheduler(t, 1, nil)
+
+	submitTagged(t, s, "a", "", 1, 1)
+	expectStart(t, b, 1)
+	for _, seed := range []uint64{2, 3, 4} {
+		submitTagged(t, s, "a", "", 1, seed)
+	}
+	waitPinned(t, s, 2)
+	submitTagged(t, s, "b", "", 1, 100)
+
+	b.finish(1)
+	expectStart(t, b, 100)
+	b.finish(100)
+	for _, seed := range []uint64{2, 3, 4} {
+		expectStart(t, b, seed)
+		b.finish(seed)
+	}
+}
+
+// TestPinnedWideJobHoldsNarrower: a pinned wide job still keeps a
+// fairer but narrower job from taking the slot it is accumulating, so
+// a stream of narrow jobs cannot starve it.
+func TestPinnedWideJobHoldsNarrower(t *testing.T) {
+	s, b := newGateScheduler(t, 2, nil)
+
+	submitTagged(t, s, "a", "", 1, 1)
+	expectStart(t, b, 1)
+	submitTagged(t, s, "a", "", 2, 2) // needs both slots
+	waitPinned(t, s, 2)
+	submitTagged(t, s, "b", "", 1, 3) // fairer, fits the free slot, narrower
+	assertNoStart(t, b)
+
+	b.finish(1)
+	expectStart(t, b, 2)
+	b.finish(2)
+	expectStart(t, b, 3)
+	b.finish(3)
 }
 
 // TestTenantWeightedShare: under saturation a weight-4 tenant
